@@ -27,7 +27,7 @@ from .config import (
     PrecisionConfig,
     TrackingError,
 )
-from .quad import gauss_panels
+from .quad import _gl, gauss_panels
 from .zeta import (
     RS_CROSSOVER,
     TWO_PI,
@@ -293,9 +293,7 @@ class S1Evaluator:
     def _theta_integral(self, tab: _S1Tables, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(tab.edges, t, side="right") - 1, 0, len(tab.edges) - 2)
         out = tab.theta_prefix[i].copy()
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = leggauss(self._THETA_ORDER)
+        x, w = _gl(self._THETA_ORDER)
         a = tab.edges[i]
         mid = 0.5 * (a + t)
         half = 0.5 * (t - a)

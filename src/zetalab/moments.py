@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -247,8 +248,18 @@ class ConstantsCache:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
+        # write a sibling temp file and rename it over the old one, so an
+        # interrupted write never leaves truncated JSON behind
+        tmp = self.path.with_name(
+            f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                json.dump(data, f, indent=2, sort_keys=True)
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return est.cache_key
 
     def get(self, l: int, T: float, H: float) -> Optional[CbarEstimate]:

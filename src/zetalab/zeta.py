@@ -8,6 +8,17 @@ Strategy split (fixed for reproducibility):
     critical line above the crossover it is reassembled from Z so that
     |zeta(1/2+it)| == |Z(t)| holds by construction.
 
+The Euler-Maclaurin main sum sum_{n<N} n^{-s} uses complete
+multiplicativity: exp(-s log p) is evaluated only at primes p < N, and
+each composite n is one complex multiply v[spf(n)] * v[n/spf(n)], done in
+dyadic ranges of n so both factors already exist.  The prime phases
+t log p are reduced mod 2 pi in split arithmetic, so their round-off
+does not spread to every multiple of p.  One smallest-prime-
+factor plan serves every N (it is closed under prefixes); it grows on
+demand and is swapped in whole, so threads share it without a lock.
+Points are processed 64 at a time, which keeps the (n x points) work
+array to a few MB, and the sum over n is a fixed-order numpy reduction.
+
 Vectorized kernels are deterministic functions of their input array
 (values and shape).  Every operation in this package assembles those
 arrays from its own parameters alone, so op results are bit-reproducible
@@ -216,9 +227,145 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # Euler-Maclaurin zeta
 # ----------------------------------------------------------------------
 
-def _bernoulli_ratio(k: int) -> float:
-    """(B_{2k+2}/(2k+2)!) / (B_{2k}/(2k)!) via zeta(2k) values."""
-    return -float(real_zeta(2.0 * k + 2.0) / real_zeta(2.0 * k)) / TWO_PI ** 2
+_BERNOULLI_RATIOS: tuple = ()  # grown on demand, replaced whole
+
+
+def _bernoulli_ratios(kmax: int) -> tuple:
+    """r[k] = (B_{2k+2}/(2k+2)!) / (B_{2k}/(2k)!) for 1 <= k <= kmax.
+
+    Built from one vectorised zeta(2k) call (bit-identical to the scalar
+    values) and published in a single assignment; r[0] is unused.
+    """
+    global _BERNOULLI_RATIOS
+    table = _BERNOULLI_RATIOS
+    if len(table) <= kmax:
+        z = real_zeta(2.0 * np.arange(1, max(kmax, 1000) + 2))
+        table = (math.nan,) + tuple((-(z[1:] / z[:-1]) / TWO_PI ** 2).tolist())
+        _BERNOULLI_RATIOS = table
+    return table
+
+
+def _split_head(x: np.ndarray) -> np.ndarray:
+    """x rounded to its leading 26 bits (Veltkamp split)."""
+    c = 134217729.0 * x  # 2^27 + 1
+    return c - (c - x)
+
+
+# 2 pi = _TWO_PI_1 + _TWO_PI_2 + _TWO_PI_3 to 1e-32; the first two parts
+# carry 26 bits, so k * part is exact for k < 2^27
+_TWO_PI_1 = 6.283185362815857
+_TWO_PI_2 = -5.563627070159782e-08
+_TWO_PI_3 = 2.4492935982947064e-16
+
+
+class _PrimePlan:
+    """Multiplicative build order for n^{-s}, 1 <= n < limit.
+
+    Row layout of the work array: row 0 holds n = 1, rows 1..P the primes
+    in increasing order, then the composites in increasing order.  A
+    composite n is built as v[spf(n)] * v[n/spf(n)], spf the smallest prime
+    factor.  Composites are processed in dyadic ranges (2^j, 2^{j+1}]:
+    both factors are at most n/2, so they come from earlier ranges or
+    from the primes.  The plan for any N < limit is a prefix of this one.
+    """
+
+    __slots__ = ("limit", "primes", "neg_logp", "log_head", "log_tail",
+                 "composites", "spf_row", "cof_row", "cof_composite", "range_ends")
+
+    def __init__(self, limit: int):
+        n = np.arange(limit)
+        spf = np.zeros(limit, dtype=np.intp)
+        for p in range(2, math.isqrt(max(limit - 1, 0)) + 1):
+            if spf[p] == 0:
+                multiples = spf[p * p :: p]
+                multiples[multiples == 0] = p
+        is_prime = (spf == 0) & (n >= 2)
+        spf[is_prime] = n[is_prime]
+        primes = n[is_prime]
+        composites = n[(n >= 4) & ~is_prime]
+        index = np.zeros(limit, dtype=np.intp)  # rank among primes or composites
+        index[primes] = np.arange(len(primes))
+        index[composites] = np.arange(len(composites))
+        a = spf[composites]
+        b = composites // a
+        self.limit = limit
+        self.primes = primes
+        self.neg_logp = -np.log(primes.astype(float))
+        # log p = head + tail, head with 26 bits (extended-precision tail
+        # where the platform has it)
+        self.log_head = _split_head(-self.neg_logp)
+        self.log_tail = (np.log(primes.astype(np.longdouble)) - self.log_head).astype(float)
+        self.composites = composites
+        self.spf_row = 1 + index[a]
+        self.cof_row = 1 + index[b]  # composite cofactors add P per call
+        self.cof_composite = (~is_prime[b]).astype(np.intp)
+        self.range_ends = np.searchsorted(
+            composites, 2 ** np.arange(1, max(limit, 2).bit_length() + 1), side="right"
+        )
+
+
+_PLAN = _PrimePlan(0)  # grown on demand, replaced whole, never mutated
+_SUB_BLOCK = 64  # points per pass over the (n x points) work array
+
+
+def _prime_plan(N: int) -> _PrimePlan:
+    global _PLAN
+    plan = _PLAN
+    if plan.limit < N:
+        plan = _PrimePlan(max(N, 2 * plan.limit, 1024))
+        _PLAN = plan
+    return plan
+
+
+def _prime_phases(log_head: np.ndarray, log_tail: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t * log p reduced into about [-pi, pi], primes along rows and
+    heights t along columns, to a few ulp of 2 pi.
+
+    The plain product t * log p would carry an absolute error of
+    eps * t * log p into every multiple of p; here head(log p) * head(t)
+    is exact and 2 pi is subtracted in three parts (Cody-Waite).
+    """
+    t_head = _split_head(t)
+    x = log_head * t_head
+    k = np.rint(x * (1.0 / TWO_PI))
+    x -= k * _TWO_PI_1
+    x -= k * _TWO_PI_2
+    x -= k * _TWO_PI_3
+    x += log_head * (t - t_head)
+    x += log_tail * t
+    return x
+
+
+def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
+    """sum_{n<N} n^{-s}, s = sigmas + i ts: one exp per prime, one multiply
+    per composite, summed over n by a fixed-order numpy reduction."""
+    plan = _prime_plan(N)
+    P = int(np.searchsorted(plan.primes, N))
+    C = int(np.searchsorted(plan.composites, N))
+    spf_row = plan.spf_row[:C]
+    cof_row = plan.cof_row[:C] + P * plan.cof_composite[:C]
+    ends = np.minimum(plan.range_ends, C).tolist()
+    ranges = [(1 + P + lo, 1 + P + hi, lo, hi)
+              for lo, hi in zip([0] + ends[:-1], ends) if hi > lo]
+    neg_logp = plan.neg_logp[:P, None]
+    log_head = plan.log_head[:P, None]
+    log_tail = plan.log_tail[:P, None]
+    out = np.empty(len(ts), dtype=complex)
+    work = np.empty((1 + P + C, min(_SUB_BLOCK, len(ts))), dtype=complex)
+    work[0] = 1.0
+    for i in range(0, len(ts), _SUB_BLOCK):
+        sub = slice(i, min(i + _SUB_BLOCK, len(ts)))
+        v = work[:, : sub.stop - sub.start]
+        primes = v[1 : 1 + P]
+        np.multiply(neg_logp, sigmas[sub], out=primes.real)
+        np.negative(_prime_phases(log_head, log_tail, ts[sub]), out=primes.imag)
+        np.exp(primes, out=primes)
+        for r0, r1, lo, hi in ranges:
+            dst = v[r0:r1]
+            np.take(v, spf_row[lo:hi], axis=0, out=dst)
+            dst *= np.take(v, cof_row[lo:hi], axis=0)
+        out[sub] = v.sum(axis=0)
+    return out
 
 
 def _zeta_em_block(
@@ -227,27 +374,27 @@ def _zeta_em_block(
     """EM for one block of points; cutoff set by the block's largest t."""
     s = sigmas + 1j * ts
     N = config.em_cutoff(float(ts.max()) if len(ts) else 0.0)
-    n = np.arange(1, N, dtype=float)
-    logn = np.log(n)
-    # main sum in chunks of the n-axis to cap memory
-    out = np.zeros(len(s), dtype=complex)
-    step = max(1, int(4e6) // max(len(s), 1))
-    for j in range(0, len(n), step):
-        out += np.exp(-np.multiply.outer(s, logn[j : j + step])).sum(axis=1)
+    out = _em_main_sum(sigmas, ts, N)
     Nf = float(N)
     out += Nf ** (1.0 - s) / (s - 1.0) + 0.5 * Nf ** (-s)
     # Bernoulli tail, shared k-loop, stops at the series' smallest term
+    ratios = _bernoulli_ratios(config.em_max_bernoulli)
     term = (1.0 / 12.0) * s * Nf ** (-s - 1.0)
     k = 1
     while True:
         out += term
-        nxt = term * (_bernoulli_ratio(k) * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
+        nxt = term * (ratios[k] * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
         amax = float(np.abs(nxt).max())
         if amax < 1e-17 or amax >= float(np.abs(term).max()) or k >= config.em_max_bernoulli:
             break
         term = nxt
         k += 1
     return out
+
+
+def em_roundoff_bound(t: float, N: int) -> float:
+    """Phase round-off floor eps*t*ln N of an N-term main sum at height t."""
+    return 4e-16 * (1.0 + abs(float(t))) * math.log(N + 2.0)
 
 
 def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -258,17 +405,17 @@ def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CON
     s = complex(sigma, t)
     N = float(config.em_cutoff(t))
     term = abs((1.0 / 12.0) * s * N ** (-sigma - 1.0))
+    ratios = _bernoulli_ratios(config.em_max_bernoulli)
     k = 1
     while k < config.em_max_bernoulli:
-        nxt = term * abs(_bernoulli_ratio(k)) * abs(s + (2 * k - 1)) * abs(s + 2 * k) / (N * N)
+        nxt = term * abs(ratios[k]) * abs(s + (2 * k - 1)) * abs(s + 2 * k) / (N * N)
         if nxt >= term or nxt < 1e-18:
             term = nxt
             break
         term = nxt
         k += 1
     safety = abs(s + (2 * k + 1)) / (sigma + 2 * k + 1)
-    roundoff = 4e-16 * (1.0 + t) * math.log(N + 2.0)
-    return term * safety + roundoff
+    return term * safety + em_roundoff_bound(t, int(N))
 
 
 def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:

@@ -151,6 +151,27 @@ class TestCbar:
         assert back.cbar == est.cbar and back.spread == est.spread
         assert cache.keys() == [est.cache_key]
 
+    def test_interrupted_put_keeps_old_file(self, tmp_path, monkeypatch):
+        from zetalab import moments
+
+        cache = ConstantsCache(str(tmp_path / "c.json"))
+        first = moments.CbarEstimate(l=1, T=2000.0, H=200.0, cbar=0.75, spread=0.01)
+        cache.put(first)
+        before = (tmp_path / "c.json").read_bytes()
+
+        def dump_then_fail(obj, f, **kw):
+            f.write('{"cbar/l=1/T=3000')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(moments.json, "dump", dump_then_fail)
+        second = moments.CbarEstimate(l=1, T=3000.0, H=300.0, cbar=0.74, spread=0.01)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put(second)
+        monkeypatch.undo()
+        assert (tmp_path / "c.json").read_bytes() == before
+        assert cache.keys() == [first.cache_key]
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_two_window_stability(self):
         # nearby windows must agree within the slow O(1/ln T) drift
         a = estimate_cbar(1, 1e4, 1e3)

@@ -1,6 +1,10 @@
 """Evaluator tests: theta, zeta, Hardy Z against an arbitrary-precision oracle."""
 
+import importlib
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import (
+    DEFAULT_CONFIG,
     DomainError,
     PoleError,
     PrecisionConfig,
@@ -19,7 +24,17 @@ from zetalab import (
     theta_deriv,
     zeta,
 )
-from zetalab.zeta import em_error_bound, psi_deriv, rs_error_bound
+from zetalab.cli import main
+from zetalab.zeta import (
+    _em_main_sum,
+    em_error_bound,
+    em_roundoff_bound,
+    psi_deriv,
+    rs_error_bound,
+    zeta_abs2_line,
+)
+
+zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +136,81 @@ class TestZeta:
         with pytest.raises(PrecisionError) as exc:
             zeta(1.0 + 52000.0j, tight)
         assert exc.value.achievable is not None
+
+
+def _next_prime(n):
+    while n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _direct_main_sum(s, N):
+    """sum_{n<N} exp(-s log n) term by term in extended precision."""
+    logn = np.log(np.arange(1, N, dtype=np.longdouble))
+    return np.array([complex(np.exp(-np.clongdouble(x) * logn).sum()) for x in s])
+
+
+class TestLineKernel:
+    """The prime-phase Euler-Maclaurin main sum and its shared plan."""
+
+    @given(
+        sigma=st.floats(min_value=0.5, max_value=3.0),
+        t=st.floats(min_value=10.0, max_value=2e4),
+        cutoff=st.sampled_from(["rule", "prime", "power of 2"]),
+        above=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_sum(self, sigma, t, cutoff, above):
+        N = DEFAULT_CONFIG.em_cutoff(t)
+        if cutoff == "prime":
+            N = _next_prime(N) + above
+        elif cutoff == "power of 2":
+            N = 2 ** (N - 1).bit_length() + above
+        ts = t + 0.37 * np.arange(70)  # crosses a 64-point sub-block edge
+        ours = _em_main_sum(np.full_like(ts, sigma), ts, N)
+        ref = _direct_main_sum(sigma + 1j * ts, N)
+        assert np.max(np.abs(ours - ref)) <= em_roundoff_bound(ts.max(), N)
+
+    def test_threads_share_the_plan_bit_identically(self, monkeypatch):
+        heights = [t0 + np.linspace(0.0, 40.0, 150) for t0 in (3e3, 2e4, 8e3, 5e4)]
+        serial = [zeta_abs2_line(1.0, ts) for ts in heights]
+        # more threads than cores start from an empty plan and grow it
+        # concurrently, with frequent thread switches
+        monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(zeta_abs2_line, 1.0, ts) for ts in heights]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    def test_line_kernel_memory_is_bounded(self):
+        ts = 1e4 + np.linspace(0.0, 20.0, 4096)
+        tracemalloc.start()
+        try:
+            zeta_abs2_line(1.0, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch):
+        from zetalab import functionals
+
+        args = ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "4,8"]
+        outs = []
+        for jobs in ("1", "2"):
+            monkeypatch.setattr(functionals, "_WINDOW_MEMO", {})
+            monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
+            out = tmp_path / f"jobs{jobs}.csv"
+            code = main(args + ["--jobs", jobs, "--out", str(out),
+                                "--manifest", str(tmp_path / "manifest.jsonl")])
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestHardyZ:
