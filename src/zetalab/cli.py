@@ -236,7 +236,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
     elif args.command == "ladder":
         chain = ladder_chain(args.T, args.k, config)
         _emit(manifest, args, ["r", "T_r", "gap", "slice_integral", "residual"],
-              ladder_csv_rows(chain, config))
+              ladder_csv_rows(chain))
 
     elif args.command == "sum":
         res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(

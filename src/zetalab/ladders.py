@@ -30,6 +30,7 @@ class LadderChain:
     base: float
     iterates: List[float]  # T^1 < T^2 < ... < T^k
     residuals: List[float]  # per-step |integral - (1-c) T^{r-1}|
+    slices: List[float]  # per-step integral of Z^2 over [T^{r-1}, T^r]
     euler_c: float = EULER_GAMMA
 
     @property
@@ -144,6 +145,7 @@ def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> 
         raise DomainError("need 1 <= k <= 20")
     iterates: List[float] = []
     residuals: List[float] = []
+    slices: List[float] = []
     cur = float(T)
     for _ in range(k):
         nxt = reverse_iterate(cur, config)
@@ -151,19 +153,19 @@ def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> 
         got = second_moment_critical(cur, nxt, config).value
         iterates.append(nxt)
         residuals.append(abs(got - target))
+        slices.append(got)
         cur = nxt
-    return LadderChain(base=float(T), iterates=iterates, residuals=residuals)
+    return LadderChain(base=float(T), iterates=iterates, residuals=residuals,
+                       slices=slices)
 
 
-def partition_report(chain: LadderChain, config: PrecisionConfig = DEFAULT_CONFIG) -> PartitionReport:
+def partition_report(chain: LadderChain) -> PartitionReport:
     """The three ratio families behind the equidistant-partition claims."""
     if chain.k < 2:
         raise DomainError("partition_report needs a chain with k >= 2")
     hs = chain.heights()
     gaps = [hs[r + 1] - hs[r] for r in range(chain.k)]
-    slices = [
-        second_moment_critical(hs[r], hs[r + 1], config).value for r in range(chain.k)
-    ]
+    slices = chain.slices
     gap_ratios = [gaps[r + 1] / gaps[r] for r in range(chain.k - 1)]
     integral_ratios = [slices[r + 1] / slices[r] for r in range(chain.k - 1)]
     preds = [
@@ -177,19 +179,18 @@ def partition_report(chain: LadderChain, config: PrecisionConfig = DEFAULT_CONFI
     )
 
 
-def ladder_csv_rows(chain: LadderChain, config: PrecisionConfig = DEFAULT_CONFIG) -> List[List[str]]:
+def ladder_csv_rows(chain: LadderChain) -> List[List[str]]:
     """`r,T_r,gap,slice_integral,residual` rows."""
     rows = []
     hs = chain.heights()
     for r in range(1, len(hs)):
         gap = hs[r] - hs[r - 1]
-        sl = second_moment_critical(hs[r - 1], hs[r], config).value
         rows.append(
             [
                 str(r),
                 f"{hs[r]:.15g}",
                 f"{gap:.15g}",
-                f"{sl:.15g}",
+                f"{chain.slices[r - 1]:.15g}",
                 f"{chain.residuals[r - 1]:.15g}",
             ]
         )

@@ -8,6 +8,15 @@ Strategy split (fixed for reproducibility):
     critical line above the crossover it is reassembled from Z so that
     |zeta(1/2+it)| == |Z(t)| holds by construction.
 
+The Riemann-Siegel corrections C0..C3 are fixed combinations of the
+derivatives of Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p).  One table,
+built at import from the Taylor series of Psi about p = 1/2, holds them as
+polynomials in x = p - 1/2: Psi(1-p) = Psi(p) makes C0 and C2 even and C1
+and C3 odd in x, so each is 24 coefficients in x^2 (times x for the odd
+ones), and one Horner pass over a (4, points) array evaluates all four.
+The main sum sum_{n<=m} n^{-1/2} cos(theta - t log n) is a masked
+rectangle built in one buffer, at most 2^20 cells per pass of rows.
+
 The Euler-Maclaurin main sum sum_{n<N} n^{-s} uses complete
 multiplicativity: exp(-s log p) is evaluated only at primes p < N, and
 each composite n is one complex multiply v[spf(n)] * v[n/spf(n)], done in
@@ -119,33 +128,67 @@ def _psi_taylor_table() -> np.ndarray:
 _PSI_A = _psi_taylor_table()
 
 
+def _psi_deriv_coeffs(k: int) -> np.ndarray:
+    """Taylor coefficients of the k-th derivative of Psi in powers of
+    x = p - 1/2, constant term first."""
+    n = np.arange(k, _PSI_DEG + 1)
+    return _PSI_A[k:] * poch(n - k + 1, k)
+
+
 def psi_deriv(p, k: int):
     """k-th derivative of Psi at p (vectorized), from the Taylor table."""
     x = np.asarray(p, dtype=float) - _PSI_CENTER
-    n = np.arange(k, _PSI_DEG + 1)
-    coeff = _PSI_A[k:] * poch(n - k + 1, k)
     v = np.zeros_like(x)
-    for c in coeff[::-1]:
+    for c in _psi_deriv_coeffs(k)[::-1]:
         v = v * x + c
     return v
 
 
+# Riemann-Siegel corrections C0..C3 as combinations of Psi derivatives
+# (scale, order); Arias de Reyna, Math. Comp. 80 (2011).
 _PI2 = math.pi ** 2
 _PI4 = math.pi ** 4
 _PI6 = math.pi ** 6
+_RS_PARTS = (
+    ((1.0, 0),),
+    ((-1.0 / (96.0 * _PI2), 3),),
+    ((1.0 / (64.0 * _PI2), 2), (1.0 / (18432.0 * _PI4), 6)),
+    ((-1.0 / (64.0 * _PI2), 1), (-1.0 / (3840.0 * _PI4), 5),
+     (-1.0 / (5308416.0 * _PI6), 9)),
+)
+# terms in x^2 kept per correction (C0, C2 even in x, C1, C3 odd): the
+# first one dropped is below 2e-21 on |x| <= 1/2
+_RS_TERMS = 24
 
 
-def _rs_corrections(p: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """C0 + C1/tau + C2/tau^2 + C3/tau^3 with tau = sqrt(t/2pi)."""
-    c0 = psi_deriv(p, 0)
-    c1 = -psi_deriv(p, 3) / (96.0 * _PI2)
-    c2 = psi_deriv(p, 2) / (64.0 * _PI2) + psi_deriv(p, 6) / (18432.0 * _PI4)
-    c3 = (
-        -psi_deriv(p, 1) / (64.0 * _PI2)
-        - psi_deriv(p, 5) / (3840.0 * _PI4)
-        - psi_deriv(p, 9) / (5308416.0 * _PI6)
-    )
-    return c0 + (c1 + (c2 + c3 / tau) / tau) / tau
+def _rs_correction_table() -> np.ndarray:
+    """Coefficients of C0, C1/x, C2, C3/x in powers of y = x^2, highest
+    power first, shaped (_RS_TERMS, 4, 1) for a (4, points) Horner pass."""
+    rows = []
+    for i, parts in enumerate(_RS_PARTS):
+        c = np.zeros(_PSI_DEG + 1)
+        for scale, k in parts:
+            d = _psi_deriv_coeffs(k)
+            c[: len(d)] += scale * d
+        rows.append(c[i % 2 :: 2][:_RS_TERMS])
+    return np.stack(rows, axis=1)[::-1, :, None].copy()
+
+
+_RS_TABLE = _rs_correction_table()
+
+
+def _rs_correction(p: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """C0 + C1/tau + C2/tau^2 + C3/tau^3 with tau = sqrt(t/2pi): all four
+    corrections in one Horner pass over a (4, points) array."""
+    x = p - _PSI_CENTER
+    y = x * x
+    v = np.empty((4, len(x)))
+    v[:] = _RS_TABLE[0]
+    for c in _RS_TABLE[1:]:
+        v *= y
+        v += c
+    c0, c1, c2, c3 = v
+    return c0 + (x * c1 + (c2 + x * c3 / tau) / tau) / tau
 
 
 def rs_error_bound(t) -> np.ndarray:
@@ -160,6 +203,9 @@ def rs_error_bound(t) -> np.ndarray:
     return 0.033 * t ** -2.25 + 2e-15 * t * np.log(t / TWO_PI + 2.0)
 
 
+_RS_CELLS = 1 << 20  # rows x terms per pass of the RS main sum (8 MB)
+
+
 def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
     """RS main sum + C0..C3 for one block, all t >= RS_CROSSOVER."""
     tau = np.sqrt(ts / TWO_PI)
@@ -170,14 +216,25 @@ def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
     n = np.arange(1, mmax + 1, dtype=float)
     logn = np.log(n)
     rsq = 1.0 / np.sqrt(n)
-    # masked main sum; row reduction order is fixed by the block layout
-    phase = th[:, None] - ts[:, None] * logn[None, :]
-    terms = np.cos(phase) * rsq[None, :]
-    terms[n[None, :] > m[:, None]] = 0.0
-    main = 2.0 * np.sum(terms, axis=1)
-    corr = _rs_corrections(p, tau)
+    # masked rectangle th - t log n, one buffer per pass of rows; each row
+    # is reduced alone, so the chunking does not change any value
+    main = np.empty(len(ts))
+    step = max(1, _RS_CELLS // mmax)
+    buf = np.empty((min(step, len(ts)), mmax))
+    for i in range(0, len(ts), step):
+        rows = slice(i, min(i + step, len(ts)))
+        terms = buf[: rows.stop - rows.start]
+        np.multiply(ts[rows, None], logn, out=terms)
+        np.subtract(th[rows, None], terms, out=terms)
+        np.cos(terms, out=terms)
+        terms *= rsq
+        m_rows = m[rows]
+        if m_rows.min() < mmax:
+            terms[n > m_rows[:, None]] = 0.0
+        np.sum(terms, axis=1, out=main[rows])
+    main *= 2.0
     sign = np.where(m % 2 == 0, -1.0, 1.0)  # (-1)^(m+1)
-    return main + sign * corr / np.sqrt(tau)
+    return main + sign * _rs_correction(p, tau) / np.sqrt(tau)
 
 
 def _hardy_z_em_block(ts: np.ndarray, config: PrecisionConfig) -> np.ndarray:
@@ -377,19 +434,32 @@ def _zeta_em_block(
     out = _em_main_sum(sigmas, ts, N)
     Nf = float(N)
     out += Nf ** (1.0 - s) / (s - 1.0) + 0.5 * Nf ** (-s)
-    # Bernoulli tail, shared k-loop, stops at the series' smallest term
+    # Bernoulli tail; a one-point block runs it in Python complex scalars,
+    # which cost far less per step than numpy calls on a length-1 array
     ratios = _bernoulli_ratios(config.em_max_bernoulli)
     term = (1.0 / 12.0) * s * Nf ** (-s - 1.0)
+    if len(ts) == 1:
+        out[0] = _bernoulli_tail(complex(out[0]), complex(s[0]), complex(term[0]),
+                                 Nf, ratios, config.em_max_bernoulli, abs)
+        return out
+    return _bernoulli_tail(out, s, term, Nf, ratios, config.em_max_bernoulli,
+                           lambda v: float(np.abs(v).max()))
+
+
+def _bernoulli_tail(acc, s, term, Nf: float, ratios: tuple, kmax: int, absmax):
+    """Add the Bernoulli terms to acc, starting from `term` (k = 1), with
+    one k-loop for the whole block: it stops at the series' smallest term,
+    judged by absmax over the block."""
     k = 1
     while True:
-        out += term
+        acc += term
         nxt = term * (ratios[k] * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
-        amax = float(np.abs(nxt).max())
-        if amax < 1e-17 or amax >= float(np.abs(term).max()) or k >= config.em_max_bernoulli:
+        amax = absmax(nxt)
+        if amax < 1e-17 or amax >= absmax(term) or k >= kmax:
             break
         term = nxt
         k += 1
-    return out
+    return acc
 
 
 def em_roundoff_bound(t: float, N: int) -> float:

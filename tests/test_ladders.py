@@ -90,6 +90,12 @@ class TestPartition:
         )
         assert parts == pytest.approx(whole, rel=1e-9)
 
+    def test_slices_are_the_slice_integrals(self):
+        chain = ladder_chain(1000.0, 3)
+        hs = chain.heights()
+        for r, value in enumerate(chain.slices):
+            assert value == second_moment_critical(hs[r], hs[r + 1]).value
+
     def test_gap_ratios_near_one(self):
         rep = partition_report(ladder_chain(1e4, 4))
         assert all(0.9 <= g <= 1.1 for g in rep.gap_ratios)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import loggamma
 
 from zetalab import (
     DEFAULT_CONFIG,
@@ -27,6 +28,8 @@ from zetalab import (
 from zetalab.cli import main
 from zetalab.zeta import (
     _em_main_sum,
+    _rs_correction,
+    _zeta_em_block,
     em_error_bound,
     em_roundoff_bound,
     psi_deriv,
@@ -150,6 +153,36 @@ def _direct_main_sum(s, N):
     return np.array([complex(np.exp(-np.clongdouble(x) * logn).sum()) for x in s])
 
 
+def _seven_call_corrections(p, tau):
+    """C0 + C1/tau + C2/tau^2 + C3/tau^3 from seven psi_deriv calls."""
+    pi2, pi4, pi6 = math.pi ** 2, math.pi ** 4, math.pi ** 6
+    c0 = psi_deriv(p, 0)
+    c1 = -psi_deriv(p, 3) / (96.0 * pi2)
+    c2 = psi_deriv(p, 2) / (64.0 * pi2) + psi_deriv(p, 6) / (18432.0 * pi4)
+    c3 = (
+        -psi_deriv(p, 1) / (64.0 * pi2)
+        - psi_deriv(p, 5) / (3840.0 * pi4)
+        - psi_deriv(p, 9) / (5308416.0 * pi6)
+    )
+    return c0 + (c1 + (c2 + c3 / tau) / tau) / tau
+
+
+def _reference_rs_block(ts):
+    """Riemann-Siegel Z as one whole masked rectangle of temporaries, with
+    the seven-call corrections."""
+    tau = np.sqrt(ts / TWO_PI)
+    m = np.floor(tau).astype(np.int64)
+    p = tau - m
+    th = np.imag(loggamma(0.25 + 0.5j * ts)) - 0.5 * ts * math.log(math.pi)
+    n = np.arange(1, int(m.max()) + 1, dtype=float)
+    phase = th[:, None] - ts[:, None] * np.log(n)[None, :]
+    terms = np.cos(phase) * (1.0 / np.sqrt(n))[None, :]
+    terms[n[None, :] > m[:, None]] = 0.0
+    main = 2.0 * np.sum(terms, axis=1)
+    sign = np.where(m % 2 == 0, -1.0, 1.0)
+    return main + sign * _seven_call_corrections(p, tau) / np.sqrt(tau)
+
+
 class TestLineKernel:
     """The prime-phase Euler-Maclaurin main sum and its shared plan."""
 
@@ -196,6 +229,19 @@ class TestLineKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    @given(
+        sigma=st.floats(min_value=0.5, max_value=3.0),
+        t=st.floats(min_value=10.0, max_value=3e4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_point_tail_matches_block(self, sigma, t):
+        # a one-point block runs the Bernoulli tail in Python scalars
+        cfg = DEFAULT_CONFIG
+        one = _zeta_em_block(np.array([sigma]), np.array([t]), cfg)[0]
+        two = _zeta_em_block(np.full(2, sigma), np.full(2, t), cfg)
+        assert two[0] == two[1]
+        assert abs(one - two[0]) <= em_roundoff_bound(t, cfg.em_cutoff(t))
 
     def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch):
         from zetalab import functionals
@@ -255,6 +301,26 @@ class TestHardyZ:
         parts = np.concatenate([hardy_z_many(ts[:100]), hardy_z_many(ts[100:])])
         assert np.max(np.abs(whole - parts)) <= 1e-10
 
+    def test_matches_whole_rectangle_reference(self):
+        rng = np.random.default_rng(11)
+        blocks = [rng.uniform(50.0, 3e4, 600), 50.0 + 40.0 * rng.random(300),
+                  rng.uniform(9e3, 1.1e4, 4096), 1e4 + np.linspace(0.0, 20.0, 100)]
+        singles = [np.array([t]) for t in (50.0, 51.3, 1234.5678, 9999.9, 29999.0)]
+        for ts in blocks + singles:
+            err = np.max(np.abs(hardy_z_many(ts) - _reference_rs_block(ts)))
+            assert err <= 4e-15, ts[:3]
+
+    def test_memory_is_bounded_near_1e8(self):
+        # m is about 4000 here: the whole rectangle would be 130 MB per temporary
+        ts = 1e8 + np.linspace(0.0, 20.0, 4096)
+        tracemalloc.start()
+        try:
+            hardy_z_many(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+
 
 class TestPsiTable:
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=3))
@@ -273,3 +339,10 @@ class TestPsiTable:
             v = [float(psi_deriv(p + j * h, k - 1)) for j in range(-2, 3)]
             fd = (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
             assert float(psi_deriv(p, k)) == pytest.approx(fd, abs=1e-6 + 1e-6 * abs(fd))
+
+    def test_fused_corrections_match_seven_calls(self):
+        p = np.linspace(0.0, 1.0, 4001)[:-1]
+        for tau in np.geomspace(2.8, 400.0, 25):
+            taus = np.full_like(p, tau)
+            err = np.max(np.abs(_rs_correction(p, taus) - _seven_call_corrections(p, taus)))
+            assert err <= 1e-15, tau
