@@ -128,12 +128,25 @@ class ZeroCache:
     Zeros are located by sign changes on a graded grid (a fixed fraction
     of the local mean gap), a dip-refinement pass that hunts for
     close pairs hiding inside same-sign cells, and vectorized bisection.
+    A bracket leaves the bisection once its midpoint equals one of its
+    ends, since it cannot move any more; 52 rounds are the cap.
     The final count is cross-checked against the branch-tracking count
     N(t); a mismatch raises rather than self-corrects, keeping the two
     channels independent.
+
+    The grid is cut into blocks [a, 1.3 a + 5), and the scan up to a
+    ceiling truncates the last one.  A higher ceiling grows the scan
+    instead of redoing it: the grid restarts two blocks below the old
+    truncated block, the old zeros below the next block start are kept
+    and the new ones above it are added.  Z above RS_CROSSOVER depends
+    only on its own t, and every bracket there is built from grid points
+    and dips the old and new grids share, so the grown zeros are
+    bit-identical to a fresh scan.  A restart below RS_CROSSOVER, where
+    Z depends on its block, rescans in full.
     """
 
     FIRST_ZERO_FLOOR = 10.0
+    BISECT_ROUNDS = 52
 
     def __init__(self, config: PrecisionConfig = DEFAULT_CONFIG):
         self.config = config
@@ -145,7 +158,7 @@ class ZeroCache:
         with self._lock:
             if t_max > self.t_max:
                 target = max(t_max * 1.02 + 5.0, 100.0)
-                self.zeros = self._scan(target)
+                self.zeros = self._grow(target)
                 self.t_max = target
             return self.zeros
 
@@ -155,61 +168,91 @@ class ZeroCache:
 
     # -- internals ------------------------------------------------------
 
-    def _grid(self, t_hi: float, refine: float = 1.0) -> np.ndarray:
-        blocks = []
+    def _block_starts(self, t_hi: float) -> list:
+        starts = []
         a = self.FIRST_ZERO_FLOOR
         while a < t_hi:
-            b = min(t_hi, a * 1.3 + 5.0)
+            starts.append(a)
+            a = a * 1.3 + 5.0
+        return starts
+
+    def _grow(self, t_hi: float) -> np.ndarray:
+        starts = self._block_starts(t_hi)
+        old = self._block_starts(self.t_max)
+        k = len(old) - 3  # two blocks below the old, truncated last block
+        if k < 0 or old[k] < RS_CROSSOVER:
+            zeros = self._scan(starts, t_hi)
+        else:
+            split = old[k + 1]
+            new = self._scan(starts[k:], t_hi)
+            zeros = np.concatenate([
+                self.zeros[: np.searchsorted(self.zeros, split)],
+                new[np.searchsorted(new, split):],
+            ])
+        self._check_count(zeros, t_hi)
+        return zeros
+
+    def _grid(self, starts: list, t_hi: float) -> np.ndarray:
+        blocks = []
+        for a, b in zip(starts, starts[1:] + [t_hi]):
             gap = TWO_PI / math.log(max(a, 20.0) / TWO_PI)
-            h = max(min(0.25, 0.15 * gap) / refine, 1e-4)
+            h = max(min(0.25, 0.15 * gap), 1e-4)
             n = int(math.ceil((b - a) / h))
             blocks.append(np.linspace(a, b, n + 1)[:-1])
-            a = b
         blocks.append(np.array([t_hi]))
         return np.concatenate(blocks)
 
-    def _scan(self, t_hi: float) -> np.ndarray:
-        grid = self._grid(t_hi)
+    def _scan(self, starts: list, t_hi: float) -> np.ndarray:
+        grid = self._grid(starts, t_hi)
         z = hardy_z_many(grid, self.config)
         sgn = np.sign(z)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        a = grid[flips].tolist()
-        b = grid[flips + 1].tolist()
-        fa = z[flips].tolist()
+        flip = sgn[:-1] * sgn[1:] < 0
+        flips = np.nonzero(flip)[0]
+        a = [grid[flips]]
+        b = [grid[flips + 1]]
+        fa = [z[flips]]
 
         # dip refinement: a same-sign cell whose middle sample is a local
         # minimum of |Z| below the threshold may hide a close pair
-        flip_set = set(flips.tolist())
         absz = np.abs(z)
         cand = np.nonzero(
             (absz[1:-1] < 0.08)
             & (absz[1:-1] <= absz[:-2])
             & (absz[1:-1] <= absz[2:])
+            & ~flip[1:]
+            & ~flip[:-1]
         )[0] + 1
-        for i in cand:
-            if i in flip_set or (i - 1) in flip_set:
-                continue
-            sub = np.linspace(grid[i - 1], grid[i + 1], 41)
-            zs = hardy_z_many(sub, self.config)
+        if len(cand):
+            sub = np.linspace(grid[cand - 1], grid[cand + 1], 41, axis=1)
+            zs = hardy_z_many(sub.ravel(), self.config).reshape(sub.shape)
             ss = np.sign(zs)
-            for j in np.nonzero(ss[:-1] * ss[1:] < 0)[0]:
-                a.append(float(sub[j]))
-                b.append(float(sub[j + 1]))
-                fa.append(float(zs[j]))
+            rows, cols = np.nonzero(ss[:, :-1] * ss[:, 1:] < 0)
+            a.append(sub[rows, cols])
+            b.append(sub[rows, cols + 1])
+            fa.append(zs[rows, cols])
 
-        av = np.array(a)
-        bv = np.array(b)
-        fav = np.array(fa)
-        for _ in range(52):
-            m = 0.5 * (av + bv)
+        return np.sort(self._bisect(np.concatenate(a), np.concatenate(b),
+                                    np.concatenate(fa)))
+
+    def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
+        """Midpoints of the brackets [a, b] (fa = Z(a)) after bisection."""
+        a, b, fa = a.copy(), b.copy(), fa.copy()
+        live = np.arange(len(a))
+        for _ in range(self.BISECT_ROUNDS):
+            m = 0.5 * (a[live] + b[live])
+            moving = (m != a[live]) & (m != b[live])
+            live, m = live[moving], m[moving]
+            if not len(live):
+                break
             fm = hardy_z_many(m, self.config)
-            left = np.sign(fm) == np.sign(fav)
-            av = np.where(left, m, av)
-            fav = np.where(left, fm, fav)
-            bv = np.where(left, bv, m)
-        zeros = np.sort(0.5 * (av + bv))
+            left = np.sign(fm) == np.sign(fa[live])
+            a[live[left]] = m[left]
+            fa[live[left]] = fm[left]
+            b[live[~left]] = m[~left]
+        return 0.5 * (a + b)
 
-        # independent count validation at a checkpoint clear of any zero
+    def _check_count(self, zeros: np.ndarray, t_hi: float) -> None:
+        """Independent count validation at a checkpoint clear of any zero."""
         check = self._checkpoint_clear_of(zeros, t_hi)
         n_expected = s_of_t(check, self.config).zero_count
         n_found = int(np.searchsorted(zeros, check))
@@ -218,7 +261,6 @@ class ZeroCache:
                 f"zero scan found {n_found} zeros below {check:.3f}, "
                 f"branch tracking expects {n_expected}"
             )
-        return zeros
 
     @staticmethod
     def _checkpoint_clear_of(zeros: np.ndarray, t_hi: float) -> float:

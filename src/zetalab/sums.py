@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig
-from .gram import gram_points, gram_range
-from .zeta import TWO_PI, hardy_z_many
+from .gram import _solve_many
+from .zeta import TWO_PI, hardy_z_many, theta
 
 PAIR_MAIN_CONSTANT = 3.0 / (4.0 * math.pi ** 5)
 FOURTH_MAIN_CONSTANT = 1.0 / (4.0 * math.pi ** 3)
@@ -68,6 +68,11 @@ def _gram_sum(
     kind: str,
     config: PrecisionConfig,
 ) -> SumResult:
+    """The pair or fourth-power sum over [t_lo, t_hi).
+
+    Both kinds share the window's Gram points and Z values, so one solve
+    and one Z evaluation serve both, and both results are memoised.
+    """
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("sum window requires 2*pi < t_lo < t_hi")
     key = (kind, float(t_lo), float(t_hi), config)
@@ -75,36 +80,33 @@ def _gram_sum(
         if key in _SUM_MEMO:
             return _SUM_MEMO[key]
 
-    rng = gram_range(t_lo, t_hi, config)
-    terms = rng.count
-    if terms == 0:
-        value = 0.0
-    else:
-        nu_lo = rng.points[0].nu
-        nu_hi = rng.points[-1].nu
-        if kind == "pair":
-            pts = gram_points(nu_lo, nu_hi + 1, config)  # one extra for the pair
-            ts = np.array([p.t for p in pts])
-            z2 = hardy_z_many(ts, config) ** 2
-            value = math.fsum((z2[:-1] * z2[1:]).tolist())
-        else:
-            ts = np.array([p.t for p in rng.points])
-            z = hardy_z_many(ts, config)
-            value = math.fsum((z ** 4).tolist())
+    # indices as in gram_range, plus one for the pair's last factor
+    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)))
+    hi = int(math.floor(theta(t_hi) / math.pi))
+    values = {"pair": 0.0, "fourth": 0.0}
+    terms = 0
+    if hi >= lo:
+        ts = _solve_many(np.arange(lo, hi + 2, dtype=float), config)
+        inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
+        terms = len(inside)
+        if terms:
+            z = hardy_z_many(ts[inside[0] : inside[-1] + 2], config)
+            z2 = z ** 2
+            values["pair"] = math.fsum((z2[:-1] * z2[1:]).tolist())
+            values["fourth"] = math.fsum((z[:-1] ** 4).tolist())
 
-    main: Optional[float] = None
-    ratio: Optional[float] = None
-    if _is_doubling_window(t_lo, t_hi):
-        const = PAIR_MAIN_CONSTANT if kind == "pair" else FOURTH_MAIN_CONSTANT
-        main = const * t_lo * math.log(t_lo) ** 5
-        ratio = value / main
-    result = SumResult(
-        t_lo=float(t_lo), t_hi=float(t_hi), kind=kind,
-        terms=terms, value=value, main_term=main, ratio=ratio,
-    )
+    doubling = _is_doubling_window(t_lo, t_hi)
+    results = {}
+    for k, const in (("pair", PAIR_MAIN_CONSTANT), ("fourth", FOURTH_MAIN_CONSTANT)):
+        main = const * t_lo * math.log(t_lo) ** 5 if doubling else None
+        results[k] = SumResult(
+            t_lo=float(t_lo), t_hi=float(t_hi), kind=k, terms=terms, value=values[k],
+            main_term=main, ratio=None if main is None else values[k] / main,
+        )
     with _SUM_LOCK:
-        _SUM_MEMO[key] = result
-    return result
+        for k, res in results.items():
+            _SUM_MEMO[(k,) + key[1:]] = res
+    return results[kind]
 
 
 def titchmarsh_sum(

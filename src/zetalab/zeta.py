@@ -15,7 +15,10 @@ polynomials in x = p - 1/2: Psi(1-p) = Psi(p) makes C0 and C2 even and C1
 and C3 odd in x, so each is 24 coefficients in x^2 (times x for the odd
 ones), and one Horner pass over a (4, points) array evaluates all four.
 The main sum sum_{n<=m} n^{-1/2} cos(theta - t log n) is a masked
-rectangle built in one buffer, at most 2^20 cells per pass of rows.
+rectangle built in one buffer, at most 2^20 cells per pass of rows.  Its
+width is padded with zero columns so that numpy's pairwise row sum adds
+the same terms in the same order whatever else is in the block: Z above
+the crossover depends only on its own t.
 
 The Euler-Maclaurin main sum sum_{n<N} n^{-s} uses complete
 multiplicativity: exp(-s log p) is evaluated only at primes p < N, and
@@ -29,10 +32,12 @@ Points are processed 64 at a time, which keeps the (n x points) work
 array to a few MB, and the sum over n is a fixed-order numpy reduction.
 
 Vectorized kernels are deterministic functions of their input array
-(values and shape).  Every operation in this package assembles those
-arrays from its own parameters alone, so op results are bit-reproducible
-across runs and across worker counts; worker parallelism only ever
-distributes whole operations.
+(values and shape).  Euler-Maclaurin blocks depend on their largest t,
+which sets the cutoff and where the Bernoulli tail stops; Riemann-Siegel
+values do not depend on the block at all.  Every operation in this
+package assembles those arrays from its own parameters alone, so op
+results are bit-reproducible across runs and across worker counts;
+worker parallelism only ever distributes whole operations.
 """
 
 from __future__ import annotations
@@ -206,21 +211,39 @@ def rs_error_bound(t) -> np.ndarray:
 _RS_CELLS = 1 << 20  # rows x terms per pass of the RS main sum (8 MB)
 
 
+def _rs_width(mmax: int) -> int:
+    """Columns of the RS main-sum rectangle for a block whose largest m is
+    mmax: a multiple of 8 up to 128, the next power of two above that.
+
+    numpy sums a contiguous row pairwise: 8 strided accumulators up to 128
+    terms, halves split at multiples of 8 above.  At these widths the
+    zero columns past a row's own m only ever add exact zeros, so the row
+    sum is the same at every width the rule can give for that row.
+    """
+    if mmax <= 128:
+        return -(-mmax // 8) * 8
+    return 1 << (mmax - 1).bit_length()
+
+
 def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
-    """RS main sum + C0..C3 for one block, all t >= RS_CROSSOVER."""
+    """RS main sum + C0..C3 for one block, all t >= RS_CROSSOVER.
+
+    Each value depends only on its own t (see `_rs_width`)."""
     tau = np.sqrt(ts / TWO_PI)
     m = np.floor(tau).astype(np.int64)
     p = tau - m
     th = np.imag(loggamma(0.25 + 0.5j * ts)) - 0.5 * ts * LN_PI
     mmax = int(m.max())
-    n = np.arange(1, mmax + 1, dtype=float)
+    width = _rs_width(mmax)
+    n = np.arange(1, width + 1, dtype=float)
     logn = np.log(n)
     rsq = 1.0 / np.sqrt(n)
+    rsq[mmax:] = 0.0  # padding columns
     # masked rectangle th - t log n, one buffer per pass of rows; each row
     # is reduced alone, so the chunking does not change any value
     main = np.empty(len(ts))
-    step = max(1, _RS_CELLS // mmax)
-    buf = np.empty((min(step, len(ts)), mmax))
+    step = max(1, _RS_CELLS // width)
+    buf = np.empty((min(step, len(ts)), width))
     for i in range(0, len(ts), step):
         rows = slice(i, min(i + step, len(ts)))
         terms = buf[: rows.stop - rows.start]

@@ -6,14 +6,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import zetalab.argz as argz
 from zetalab import (
     AmbiguousBranchError,
     DomainError,
+    ZeroCache,
     s1_of_t,
     s_of_t,
     shared_s1_evaluator,
     theta,
 )
+from zetalab.zeta import RS_CROSSOVER
 
 FIRST_ZEROS = [14.134725141734694, 21.022039638771555, 25.010857580145689,
                30.424876125859513, 32.935061587739190]
@@ -88,6 +91,92 @@ class TestZeroCache:
         for k in [1, 5, 10, 20]:
             ref = float(mp.zetazero(k).imag)
             assert zs[k - 1] == pytest.approx(ref, abs=5e-6)
+
+
+LEHMER_PAIR = 7005.06
+
+
+@pytest.fixture(scope="module")
+def fresh_zeros():
+    """Zeros of one fresh ZeroCache per ceiling, computed once per module."""
+    done = {}
+
+    def get(t_max):
+        if t_max not in done:
+            done[t_max] = ZeroCache().ensure(t_max)
+        return done[t_max]
+
+    return get
+
+
+def _bisect_52_rounds(a, b, fa, z):
+    """The bisection as it was before brackets could leave early."""
+    av, bv, fav = a.copy(), b.copy(), fa.copy()
+    for _ in range(52):
+        m = 0.5 * (av + bv)
+        fm = z(m)
+        left = np.sign(fm) == np.sign(fav)
+        av = np.where(left, m, av)
+        fav = np.where(left, fm, fav)
+        bv = np.where(left, bv, m)
+    return 0.5 * (av + bv)
+
+
+class TestZeroCacheGrowth:
+    @pytest.mark.parametrize(
+        "ceilings",
+        [(5615.0, 11225.0), (200.0, 1000.0, 3000.0, 11225.0), (100.0, 5615.0), (60.0, 11225.0)],
+    )
+    def test_grown_zeros_equal_a_fresh_scan(self, ceilings, fresh_zeros):
+        cache = ZeroCache()
+        scan = cache._scan
+        restarts = []
+
+        def recording_scan(starts, t_hi):
+            restarts.append(starts[0])
+            return scan(starts, t_hi)
+
+        cache._scan = recording_scan
+        for t in ceilings:
+            cache.ensure(t)
+        assert np.array_equal(cache.zeros, fresh_zeros(ceilings[-1]))
+        if ceilings == (5615.0, 11225.0):
+            # grown, not rescanned, from below the Lehmer pair
+            assert RS_CROSSOVER <= restarts[1] < LEHMER_PAIR
+        if ceilings[0] == 60.0:
+            # a restart would fall below the crossover: rescanned in full
+            assert restarts == [ZeroCache.FIRST_ZERO_FLOOR] * 2
+
+    def test_early_exit_matches_52_rounds(self, monkeypatch):
+        cache = ZeroCache()
+        brackets = []
+        bisect = cache._bisect
+
+        def recording_bisect(a, b, fa):
+            brackets.append((a, b, fa))
+            return bisect(a, b, fa)
+
+        cache._bisect = recording_bisect
+        cache.ensure(3e3)
+        a, b, fa = brackets[0]
+        keep = a >= RS_CROSSOVER
+        a, b, fa = a[keep], b[keep], fa[keep]
+        assert len(a) > 1000
+
+        points = []
+        z = argz.hardy_z_many
+
+        def counting_z(t, config=argz.DEFAULT_CONFIG):
+            points.append(len(t))
+            return z(t, config)
+
+        monkeypatch.setattr(argz, "hardy_z_many", counting_z)
+        early = ZeroCache()._bisect(a, b, fa)
+        early_points = sum(points)
+        points.clear()
+        full = _bisect_52_rounds(a, b, fa, counting_z)
+        assert np.array_equal(early, full)
+        assert early_points < sum(points) == 52 * len(a)
 
 
 class TestS1:

@@ -9,7 +9,9 @@ import pytest
 from zetalab import (
     DomainError,
     fourth_power_sum,
+    gram_points,
     gram_range,
+    hardy_z_many,
     titchmarsh_sum,
     verify_asymptotic_trend,
 )
@@ -107,6 +109,29 @@ class TestFourthSum:
 
     def test_nonnegative(self):
         assert fourth_power_sum(300.0, 700.0).value >= 0.0
+
+
+class TestSharedWindow:
+    @staticmethod
+    def _separate_solves(t_lo, t_hi):
+        """The pair and fourth-power sums as computed before the window was
+        shared: gram_range, then gram_points again for the pair."""
+        pts = gram_range(t_lo, t_hi).points
+        ts = np.array([p.t for p in gram_points(pts[0].nu, pts[-1].nu + 1)])
+        z2 = hardy_z_many(ts) ** 2
+        pair = math.fsum((z2[:-1] * z2[1:]).tolist())
+        z = hardy_z_many(np.array([p.t for p in pts]))
+        fourth = math.fsum((z ** 4).tolist())
+        return len(pts), pair, fourth
+
+    @pytest.mark.parametrize("T", [1e3, 5e3])
+    def test_one_solve_matches_separate_solves(self, T):
+        terms, pair, fourth = self._separate_solves(T, 2.0 * T)
+        a = titchmarsh_sum(T, 2.0 * T)
+        b = fourth_power_sum(T, 2.0 * T)
+        assert a.terms == b.terms == terms
+        assert a.value == pair
+        assert b.value == fourth
 
 
 class TestTrend:

@@ -310,6 +310,25 @@ class TestHardyZ:
             err = np.max(np.abs(hardy_z_many(ts) - _reference_rs_block(ts)))
             assert err <= 4e-15, ts[:3]
 
+    @given(
+        ts=st.lists(
+            st.one_of(
+                st.floats(min_value=50.0, max_value=1e8, exclude_max=True),
+                st.floats(min_value=math.log(50.0), max_value=math.log(1e8),
+                          exclude_max=True).map(lambda x: min(max(math.exp(x), 50.0), 99999999.0)),
+            ),
+            min_size=1, max_size=12,
+        ),
+        low=st.lists(st.floats(min_value=50.0, max_value=200.0), min_size=1, max_size=4),
+        high=st.floats(min_value=1e7, max_value=1e8, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_value_depends_only_on_its_own_t(self, ts, low, high):
+        block = np.array(low + ts + [high])
+        whole = hardy_z_many(block)
+        alone = np.array([hardy_z_many(np.array([t]))[0] for t in block])
+        assert np.array_equal(whole, alone)
+
     def test_memory_is_bounded_near_1e8(self):
         # m is about 4000 here: the whole rectangle would be 130 MB per temporary
         ts = 1e8 + np.linspace(0.0, 20.0, 4096)
