@@ -27,7 +27,7 @@ from .config import (
     PrecisionConfig,
     TrackingError,
 )
-from .quad import _gl, gauss_panels
+from .quad import _gl, _nodes, gauss_panels
 from .zeta import (
     RS_CROSSOVER,
     TWO_PI,
@@ -327,19 +327,11 @@ class S1Evaluator:
             self._tables = tables
             return tables
 
-    def theta_integral(self, t) -> np.ndarray:
-        """integral_0^t theta(u) du for array t within the prepared range."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return self._theta_integral(self.ensure(float(t.max())), t)
-
     def _theta_integral(self, tab: _S1Tables, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(tab.edges, t, side="right") - 1, 0, len(tab.edges) - 2)
         out = tab.theta_prefix[i].copy()
         x, w = _gl(self._THETA_ORDER)
-        a = tab.edges[i]
-        mid = 0.5 * (a + t)
-        half = 0.5 * (t - a)
-        nodes = mid[:, None] + half[:, None] * x[None, :]
+        nodes, half = _nodes(tab.edges[i], t, x)
         out += (theta(nodes.ravel()).reshape(nodes.shape) * w[None, :]).sum(axis=1) * half
         return out
 

@@ -17,7 +17,9 @@ class PrecisionConfig:
     integrality).  eval_tol is the acceptance threshold for the
     a-posteriori accuracy bound of a single zeta/Z evaluation; a bound
     above it raises PrecisionError rather than returning a silently
-    degraded value.
+    degraded value.  quad_step_cap caps the critical-line panel width;
+    sigma-line panels take their width from the integrand's bandwidth
+    (quad.sigma_panel_edges) and have no knob.
     """
 
     abs_tol: float = 1e-10
@@ -32,10 +34,6 @@ class PrecisionConfig:
     em_margin_scale: float = 2.0
     em_max_bernoulli: int = 500
     eval_tol: float = 1e-5
-    # Off-critical-line integrands vary on the O(1) scale set by zeta'ated
-    # prime sums, not the zero-gap scale; their panels may be this factor
-    # wider than quad_step_cap.
-    offline_panel_factor: float = 5.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):

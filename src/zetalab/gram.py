@@ -41,29 +41,24 @@ def _solve_many(nus: np.ndarray, config: PrecisionConfig) -> np.ndarray:
     """Newton from the asymptotic inverse, then a last-ulp polish.
 
     theta carries ~1 ulp of its own magnitude in noise, so after Newton
-    converges we scan the neighbouring representable t values and keep
-    the one with the smallest defining-equation residual.  The residual
-    gate is abs_tol with a representability floor: once pi*nu grows past
-    ~1e5 the theta values move in steps of several 1e-11 per ulp of t,
-    and no double can do better than a few ulp of the target.
+    converges we try the neighbouring representable t on the side the
+    residual points to, and keep it if its residual is smaller.  The
+    residual gate is abs_tol with a representability floor: once pi*nu
+    grows past ~1e5 the theta values move in steps of several 1e-11 per
+    ulp of t, and no double can do better than a few ulp of the target.
     """
     target = np.pi * nus
     t = _initial_guess(nus)
     for _ in range(max(6, config.max_newton_iters // 10)):
         resid = theta(t) - target
         t = t - resid / theta_deriv(t)
-    best_t = t.copy()
-    best_r = np.abs(theta(best_t) - target)
-    eps = np.finfo(float).eps
-    for k in range(-6, 7):
-        if k == 0:
-            continue
-        cand = t * (1.0 + k * eps)
-        r = np.abs(theta(cand) - target)
-        better = r < best_r
-        best_t[better] = cand[better]
-        best_r[better] = r[better]
-    gate = np.maximum(config.abs_tol, 8.0 * eps * np.abs(target))
+    resid = theta(t) - target
+    cand = np.nextafter(t, np.where(resid > 0, -np.inf, np.inf))
+    cand_r = np.abs(theta(cand) - target)
+    better = cand_r < np.abs(resid)
+    best_t = np.where(better, cand, t)
+    best_r = np.where(better, cand_r, np.abs(resid))
+    gate = np.maximum(config.abs_tol, 8.0 * np.finfo(float).eps * np.abs(target))
     bad = best_r > gate
     if bad.any():
         worst = int(np.argmax(best_r - gate))

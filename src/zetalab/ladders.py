@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
-from .quad import critical_panel_width, gauss_panels
+from .quad import _gl, critical_panel_width, gauss_panels
 from .zeta import EULER_GAMMA, hardy_z_many
 
 
@@ -48,14 +47,11 @@ class PartitionReport:
     gap_prediction_ratios: List[float]  # gap / ((1-c) T^{r-1} / ln T^{r-1})
 
 
-_GL16 = leggauss(16)
-
-
 def _partial_panel(a: float, u: float, config: PrecisionConfig) -> float:
     """integral of Z^2 over [a, u] inside one panel (single GL16)."""
     if u <= a:
         return 0.0
-    x, w = _GL16
+    x, w = _gl(16)
     mid = 0.5 * (a + u)
     half = 0.5 * (u - a)
     z = hardy_z_many(mid + half * x, config)

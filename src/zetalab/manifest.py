@@ -20,12 +20,6 @@ from .config import PrecisionConfig
 CSV_ENCODING = "utf-8"
 
 
-def format_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.15g}"
-    return str(v)
-
-
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     """UTF-8, LF, header row, 15 significant digits; returns sha256."""
     lines = [",".join(header)]

@@ -8,20 +8,21 @@ persisted to a small JSON constants cache for downstream consumers.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .argz import S1Evaluator, shared_s1_evaluator
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, PrecisionError
-from .quad import critical_panel_width, integrate_checked, offline_panel_width
+from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig, PrecisionError
+from .quad import (
+    _integrate_halving, check_error, critical_panel_width, integrate_checked, integrate_kronrod,
+    sigma_panel_edges,
+)
 from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_line
 
 # Window-exponent constraint T^a <= H <= T from the Selberg-moment
@@ -104,29 +105,31 @@ def second_moment_sigma(
     config: PrecisionConfig = DEFAULT_CONFIG,
     eps: float = 0.01,
 ) -> MomentEstimate:
-    """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 1/2 + eps."""
+    """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 1/2 + eps.
+
+    GK21 on `sigma_panel_edges`; quad_error is the |K21 - G10| sum.
+    """
     if sigma < 0.5 + eps:
         raise DomainError(f"sigma must be >= 1/2 + {eps}")
-    if not (t_lo <= t_hi):
-        raise DomainError("need t_lo <= t_hi")
+    if not (0.0 <= t_lo <= t_hi):
+        raise DomainError("need 0 <= t_lo <= t_hi")
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
+    if sigma == 1.0 and t_lo == 0.0:
+        raise PoleError(f"[{t_lo}, {t_hi}] meets the pole s = 1; the moment diverges")
     bound = em_error_bound(sigma, t_hi, config)
     if bound > config.eval_tol:
         raise PrecisionError(
             f"zeta({sigma}+it) attainable only to {bound:.2e} on [{t_lo}, {t_hi}]",
             achievable=bound,
         )
-    width = offline_panel_width(t_hi, config)
 
     def f(ts: np.ndarray) -> np.ndarray:
         return zeta_abs2_line(sigma, ts, config)
 
-    value, err = integrate_checked(f, t_lo, t_hi, width, order=8, what="sigma2")
+    edges = sigma_panel_edges(sigma, t_lo, t_hi)
+    value, err = check_error(*integrate_kronrod(f, edges), what="sigma2")
     return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
-
-
-_GL10 = leggauss(10)
 
 
 def s1_moment(
@@ -160,31 +163,12 @@ def s1_moment(
         for j in range(1, n_extra + 1):
             refined.append(prev + (e - prev) * j / (n_extra + 1))
         refined.append(e)
-    edges = np.array(refined)
 
-    x, w = _GL10
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.abs(ev.value_many(nodes)) ** (2 * l)
-    per_panel = (vals.reshape(len(mid), len(x)) @ w) * half
-    value = math.fsum(per_panel.tolist())
+    def f(ts: np.ndarray) -> np.ndarray:
+        return np.abs(ev.value_many(ts)) ** (2 * l)
 
-    # a-posteriori: compare against per-panel halving
-    mids = mid
-    nodes_a = (0.5 * (edges[:-1] + mids)[:, None] + 0.5 * (mids - edges[:-1])[:, None] * x[None, :]).ravel()
-    nodes_b = (0.5 * (mids + edges[1:])[:, None] + 0.5 * (edges[1:] - mids)[:, None] * x[None, :]).ravel()
-    va = (np.abs(ev.value_many(nodes_a)) ** (2 * l)).reshape(len(mid), len(x)) @ w * (0.5 * half)
-    vb = (np.abs(ev.value_many(nodes_b)) ** (2 * l)).reshape(len(mid), len(x)) @ w * (0.5 * half)
-    fine = va + vb
-    err = math.fsum(np.abs(fine - per_panel).tolist())
-    refined_value = math.fsum(fine.tolist())
-    if err > 0.01 * max(abs(refined_value), 1e-300) and err > 1e-12:
-        raise PrecisionError(
-            f"s1moment: quadrature error {err:.3e} exceeds 1% of value {refined_value:.6e}",
-            achievable=err,
-        )
-    return _finish(t_lo, t_hi, "s1moment", float(l), refined_value, err)
+    value, err = check_error(*_integrate_halving(f, np.array(refined), 10), what="s1moment")
+    return _finish(t_lo, t_hi, "s1moment", float(l), value, err)
 
 
 def estimate_cbar(
@@ -271,7 +255,3 @@ class ConstantsCache:
 
     def keys(self) -> List[str]:
         return sorted(self._load().keys())
-
-
-def moments_csv_rows(estimates: Sequence[MomentEstimate]) -> List[List[str]]:
-    return [e.csv_row() for e in estimates]

@@ -1,4 +1,5 @@
-"""Panel Gauss-Legendre quadrature with deterministic reductions.
+"""Panel Gauss-Legendre and Gauss-Kronrod quadrature with deterministic
+reductions.
 
 Panel meshes are generated from the interval endpoints alone, node
 blocks are fixed-size, and cross-panel reduction uses math.fsum (exactly
@@ -35,10 +36,18 @@ def critical_panel_width(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> 
     return min(config.quad_step_cap, 0.25 * gap)
 
 
-def offline_panel_width(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Panel width off the critical line, where |zeta(sigma+it)|^2 varies
-    on the O(1) scale rather than the zero-gap scale."""
-    return config.offline_panel_factor * critical_panel_width(t, config)
+def sigma_panel_edges(sigma: float, t_lo: float, t_hi: float) -> np.ndarray:
+    """Panel edges for |zeta(sigma+it)|^2 on [t_lo, t_hi]: two mean zero
+    gaps at t_hi wide (the integrand's highest frequency is ln(t/2pi), so
+    its shortest period is one gap), except that no panel is wider than its
+    left end's distance to the pole s = 1, so near the pole the panels grow
+    geometrically away from it."""
+    width = 2.0 * TWO_PI / math.log(max(float(t_hi), 20.0) / TWO_PI)
+    edges = [float(t_lo)]
+    # d = 0 only at the pole itself, where the panels cannot shrink to fit
+    while 0.0 < (d := math.hypot(sigma - 1.0, edges[-1])) < min(width, t_hi - edges[-1]):
+        edges.append(edges[-1] + d)
+    return np.concatenate([edges[:-1], panel_edges(edges[-1], t_hi, width)])
 
 
 def panel_edges(a: float, b: float, width: float) -> np.ndarray:
@@ -50,17 +59,39 @@ def panel_edges(a: float, b: float, width: float) -> np.ndarray:
     return np.linspace(a, b, n + 1)
 
 
+def _nodes(e0: np.ndarray, e1: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rule nodes x on [-1, 1] mapped onto the panels [e0, e1], one row per
+    panel, and the panels' half widths."""
+    mid = 0.5 * (e0 + e1)
+    half = 0.5 * (e1 - e0)
+    return mid[:, None] + half[:, None] * x[None, :], half
+
+
 def gauss_panels(
     a: float, b: float, width: float, order: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of per-panel Gauss-Legendre over [a, b]."""
     edges = panel_edges(a, b, width)
     x, w = _gl(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    nodes, half = _nodes(edges[:-1], edges[1:], x)
+    return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
+
+
+def _integrate_halving(
+    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int
+) -> Tuple[float, float]:
+    """GL(order) on each panel and on its two halves: the fsum of the
+    halves' sums, and the fsum of |halves - whole| as the error."""
+    x, w = _gl(order)
+
+    def panel_sums(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+        nodes, half = _nodes(e0, e1, x)
+        return f(nodes.ravel()).reshape(nodes.shape) @ w * half
+
+    coarse = panel_sums(edges[:-1], edges[1:])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    fine = panel_sums(edges[:-1], mids) + panel_sums(mids, edges[1:])
+    return math.fsum(fine.tolist()), math.fsum(np.abs(fine - coarse).tolist())
 
 
 def integrate_panels(
@@ -77,21 +108,58 @@ def integrate_panels(
     """
     if a == b:
         return 0.0, 0.0
-    edges = panel_edges(a, b, width)
-    x, w = _gl(order)
+    return _integrate_halving(f, panel_edges(a, b, width), order)
 
-    def panel_vals(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-        mid = 0.5 * (e0 + e1)
-        half = 0.5 * (e1 - e0)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        vals = f(nodes).reshape(len(e0), order)
-        return vals @ w * half
 
-    coarse = panel_vals(edges[:-1], edges[1:])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fine = panel_vals(edges[:-1], mids) + panel_vals(mids, edges[1:])
-    value = math.fsum(fine.tolist())
-    err = math.fsum(np.abs(fine - coarse).tolist())
+# QUADPACK dqk21 on x >= 0, outermost node first: Kronrod nodes, Kronrod
+# weights, and the 10-point Gauss weights at the same nodes (0 at the
+# Kronrod-only ones); the rule is symmetric about x = 0
+_XGK = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+)
+_WGK = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
+)
+_WG = (
+    0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+    0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0,
+)
+
+_GK_X = np.array(_XGK + tuple(-x for x in _XGK[-2::-1]))
+_GK_WK = np.array(_WGK + _WGK[-2::-1])
+_GK_WG = np.array(_WG + _WG[-2::-1])
+
+
+def integrate_kronrod(
+    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
+) -> Tuple[float, float]:
+    """Integrate f over the panels between `edges` by GK21; returns
+    (value, error_estimate).
+
+    The value is the fsum of the panels' Kronrod sums and the estimate the
+    fsum of |Kronrod - Gauss|, both from the same 21 samples per panel.
+    """
+    nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    kronrod = vals @ _GK_WK * half
+    gauss = vals @ _GK_WG * half
+    return math.fsum(kronrod.tolist()), math.fsum(np.abs(kronrod - gauss).tolist())
+
+
+def check_error(
+    value: float, err: float, rel_gate: float = 0.01, what: str = "integral"
+) -> Tuple[float, float]:
+    """The moments-module acceptance gate: the a-posteriori estimate must
+    stay below rel_gate of the value."""
+    if err > rel_gate * max(abs(value), 1e-300) and err > 1e-12:
+        raise PrecisionError(
+            f"{what}: quadrature error {err:.3e} exceeds {rel_gate:.0%} of value {value:.6e}",
+            achievable=err,
+        )
     return value, err
 
 
@@ -104,12 +172,5 @@ def integrate_checked(
     rel_gate: float = 0.01,
     what: str = "integral",
 ) -> Tuple[float, float]:
-    """integrate_panels plus the moments-module acceptance gate: the
-    a-posteriori estimate must stay below rel_gate of the value."""
-    value, err = integrate_panels(f, a, b, width, order)
-    if err > rel_gate * max(abs(value), 1e-300) and err > 1e-12:
-        raise PrecisionError(
-            f"{what}: quadrature error {err:.3e} exceeds {rel_gate:.0%} of value {value:.6e}",
-            achievable=err,
-        )
-    return value, err
+    """integrate_panels plus the acceptance gate of check_error."""
+    return check_error(*integrate_panels(f, a, b, width, order), rel_gate, what)

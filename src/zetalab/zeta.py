@@ -99,14 +99,6 @@ def theta_deriv(t):
     return float(val) if np.isscalar(t) or np.ndim(t) == 0 else val
 
 
-def theta_antiderivative(t_lo: float, t_hi: float, order: int = 16) -> float:
-    """integral of theta over [t_lo, t_hi] by Gauss-Legendre panels."""
-    from .quad import gauss_panels
-
-    nodes, weights = gauss_panels(t_lo, t_hi, width=2.0, order=order)
-    return float(np.sum(theta(nodes) * weights))
-
-
 # ----------------------------------------------------------------------
 # Psi(p) = cos(2pi(p^2 - p - 1/16)) / cos(2pi p) and its derivatives.
 #
@@ -138,15 +130,6 @@ def _psi_deriv_coeffs(k: int) -> np.ndarray:
     x = p - 1/2, constant term first."""
     n = np.arange(k, _PSI_DEG + 1)
     return _PSI_A[k:] * poch(n - k + 1, k)
-
-
-def psi_deriv(p, k: int):
-    """k-th derivative of Psi at p (vectorized), from the Taylor table."""
-    x = np.asarray(p, dtype=float) - _PSI_CENTER
-    v = np.zeros_like(x)
-    for c in _psi_deriv_coeffs(k)[::-1]:
-        v = v * x + c
-    return v
 
 
 # Riemann-Siegel corrections C0..C3 as combinations of Psi derivatives

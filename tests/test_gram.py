@@ -16,7 +16,9 @@ from zetalab import (
     gram_range,
     theta,
 )
-from zetalab.gram import gram_csv_rows
+from zetalab.config import DEFAULT_CONFIG
+from zetalab.gram import _initial_guess, _solve_many, gram_csv_rows
+from zetalab.zeta import theta_deriv
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,6 +54,38 @@ class TestGramPoint:
         # takes over near nu ~ 1.2e5
         gate = max(1e-10, 8.0 * 2.23e-16 * math.pi * nu)
         assert gram_point(nu).residual <= gate
+
+
+def _scan_polish_reference(nus):
+    """The former polish: Newton, then a scan of t(1 + k eps) for
+    |k| <= 6 keeping the smallest residual."""
+    target = np.pi * nus
+    t = _initial_guess(nus)
+    for _ in range(6):
+        t = t - (theta(t) - target) / theta_deriv(t)
+    best_t = t.copy()
+    best_r = np.abs(theta(best_t) - target)
+    eps = np.finfo(float).eps
+    for k in range(-6, 7):
+        cand = t * (1.0 + k * eps)
+        r = np.abs(theta(cand) - target)
+        better = r < best_r
+        best_t[better] = cand[better]
+        best_r[better] = r[better]
+    return best_t
+
+
+class TestPolish:
+    def test_one_step_matches_the_scan(self):
+        # nu from 1 up, plus a block past the representability floor
+        nus = np.concatenate([np.arange(1.0, 20001.0), np.arange(2e5, 2.05e5)])
+        new = _solve_many(nus, DEFAULT_CONFIG)
+        old = _scan_polish_reference(nus)
+        target = np.pi * nus
+        gate = np.maximum(1e-10, 8.0 * np.finfo(float).eps * target)
+        assert np.all(np.abs(theta(new) - target) <= gate)
+        assert np.all(np.abs(theta(old) - target) <= gate)
+        assert np.all(np.abs(new - old) <= 6.0 * np.spacing(old))
 
 
 class TestGramRange:

@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from zetalab import (
     ConstantsCache,
     DomainError,
     EULER_GAMMA,
+    PoleError,
     estimate_cbar,
     reverse_iterate,
     s1_moment,
@@ -16,6 +19,8 @@ from zetalab import (
     second_moment_sigma,
     shared_s1_evaluator,
 )
+from zetalab.quad import gauss_panels
+from zetalab.zeta import zeta_abs2_line
 
 ZETA2 = math.pi ** 2 / 6.0
 ZETA3 = 1.2020569031595943
@@ -70,6 +75,51 @@ class TestSigma2:
     def test_rejects_sigma_near_half(self):
         with pytest.raises(DomainError):
             second_moment_sigma(0.505, 100.0, 200.0)
+
+    def test_window_at_the_pole_diverges(self):
+        with pytest.raises(PoleError):
+            second_moment_sigma(1.0, 0.0, 2.0)
+
+
+def _mp_sigma_moment(sigma, edges, order=24):
+    """|zeta(sigma+it)|^2 integrated with fixed GL(order) nodes on each
+    panel of `edges` and mp.zeta at 20 digits."""
+    x, w = leggauss(order)
+    total = mp.mpf(0)
+    with mp.workdps(20):
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = mp.mpf(0.5 * (a + b)), mp.mpf(0.5 * (b - a))
+            for xi, wi in zip(x, w):
+                z = mp.zeta(mp.mpc(sigma, mid + half * mp.mpf(xi)))
+                total += mp.mpf(wi) * half * abs(z) ** 2
+    return float(total)
+
+
+class TestSigma2Oracle:
+    @pytest.mark.parametrize(
+        "sigma,edges",
+        [
+            (1.0, np.linspace(1000.0, 1010.0, 3)),
+            (0.75, np.array([1000.0, 1005.0])),
+            # graded toward the pole at t = 0
+            (1.0, np.array([0.1, 0.2, 0.4, 0.8, 1.6, 3.0])),
+            # pole at t = 0.4i, panels no wider than their distance to it
+            (0.6, np.linspace(0.0, 4.0, 11)),
+        ],
+    )
+    def test_matches_mpmath(self, sigma, edges):
+        ref = _mp_sigma_moment(sigma, edges)
+        est = second_moment_sigma(sigma, float(edges[0]), float(edges[-1]))
+        assert est.value == pytest.approx(ref, rel=1e-12)
+        assert abs(est.value - ref) <= est.quad_error + 1e-14 * est.value
+
+    @pytest.mark.parametrize("sigma", [0.51, 1.0, 2.0])
+    def test_matches_fine_gauss_legendre(self, sigma):
+        # GL32 on 0.0625-wide panels, far finer than the GK21 panels
+        for T in (1e3, 1e4, 3e4):
+            nodes, weights = gauss_panels(T, T + 10.0, 0.0625, 32)
+            ref = math.fsum((zeta_abs2_line(sigma, nodes) * weights).tolist())
+            assert second_moment_sigma(sigma, T, T + 10.0).value == pytest.approx(ref, rel=1e-12)
 
 
 class TestS1Moment:

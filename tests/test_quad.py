@@ -1,4 +1,4 @@
-"""Panel quadrature: exactness, additivity, and the error gate."""
+"""Panel Gauss-Legendre and Gauss-Kronrod quadrature: exactness, additivity, the gate."""
 
 import math
 
@@ -10,8 +10,10 @@ from zetalab.quad import (
     critical_panel_width,
     gauss_panels,
     integrate_checked,
+    integrate_kronrod,
     integrate_panels,
     panel_edges,
+    sigma_panel_edges,
 )
 
 
@@ -62,3 +64,47 @@ def test_gauss_panels_weights_sum():
 def test_edges_cover_interval():
     e = panel_edges(0.0, 1.05, 0.1)
     assert e[0] == 0.0 and e[-1] == 1.05 and len(e) == 12
+
+
+def test_gk21_literals_match_scipy(monkeypatch):
+    import scipy.integrate._quad_vec as qv
+    from zetalab import quad
+
+    seen = {}
+
+    def capture(a, b, f, norm_func, x, w, v):
+        seen.update(x=x, w=w, v=v)
+
+    monkeypatch.setattr(qv, "_quadrature_gk", capture)
+    qv._quadrature_gk21(0.0, 1.0, np.sin, abs)
+    assert np.array_equal(quad._GK_X, np.array(seen["x"], dtype=float))
+    assert np.array_equal(quad._GK_WK, np.array(seen["v"]))
+    assert np.array_equal(quad._GK_WG[1::2], np.array(seen["w"]))
+    assert not quad._GK_WG[0::2].any()
+
+
+def test_kronrod_exactness_and_estimate():
+    # K21 is exact to degree 31 and G10 to degree 19 on each panel
+    val, err = integrate_kronrod(lambda x: x ** 31, np.array([0.0, 2.0]))
+    assert val == pytest.approx(2.0 ** 32 / 32.0, rel=1e-14)
+    assert err > 1e-6 * val
+    val, err = integrate_kronrod(lambda x: x ** 19, np.array([0.0, 1.0, 2.0]))
+    assert val == pytest.approx(2.0 ** 20 / 20.0, rel=1e-14) and err <= 1e-10
+    # the |K21 - G10| estimate covers the true error
+    val, err = integrate_kronrod(np.cos, panel_edges(0.0, 30.0, 3.0))
+    assert abs(val - math.sin(30.0)) <= err
+
+
+def test_sigma_panel_edges_rule():
+    # away from the pole: uniform panels two mean zero gaps at t_hi wide
+    t_hi = 10494.42
+    gap = 2.0 * math.pi / math.log(t_hi / (2.0 * math.pi))
+    assert np.array_equal(sigma_panel_edges(1.0, 1e4, t_hi), panel_edges(1e4, t_hi, 2.0 * gap))
+    # near it: no panel wider than its left end's distance to s = 1
+    assert sigma_panel_edges(1.0, 0.1, 3.0).tolist() == [0.1, 0.2, 0.4, 0.8, 1.6, 3.0]
+    for sigma, t_lo, t_hi in [(0.6, 0.0, 4.0), (1.0, 1e-9, 50.0), (1.2, 0.0, 100.0)]:
+        e = sigma_panel_edges(sigma, t_lo, t_hi)
+        assert e[0] == t_lo and e[-1] == t_hi and np.all(np.diff(e) > 0)
+        assert np.all(np.diff(e) <= np.hypot(sigma - 1.0, e[:-1]) * (1 + 1e-15))
+    # the grading is geometric, so a window by the pole stays small
+    assert len(sigma_panel_edges(1.0, 1e-9, 50.0)) < 60

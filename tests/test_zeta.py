@@ -31,8 +31,9 @@ from zetalab.zeta import (
     _rs_correction,
     _zeta_em_block,
     em_error_bound,
+    _PSI_CENTER,
+    _psi_deriv_coeffs,
     em_roundoff_bound,
-    psi_deriv,
     rs_error_bound,
     zeta_abs2_line,
 )
@@ -151,6 +152,15 @@ def _direct_main_sum(s, N):
     """sum_{n<N} exp(-s log n) term by term in extended precision."""
     logn = np.log(np.arange(1, N, dtype=np.longdouble))
     return np.array([complex(np.exp(-np.clongdouble(x) * logn).sum()) for x in s])
+
+
+def psi_deriv(p, k):
+    """k-th derivative of Psi at p (vectorized), from the Taylor table."""
+    x = np.asarray(p, dtype=float) - _PSI_CENTER
+    v = np.zeros_like(x)
+    for c in _psi_deriv_coeffs(k)[::-1]:
+        v = v * x + c
+    return v
 
 
 def _seven_call_corrections(p, tau):
