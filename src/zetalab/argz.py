@@ -138,11 +138,11 @@ class ZeroCache:
     ceiling truncates the last one.  A higher ceiling grows the scan
     instead of redoing it: the grid restarts two blocks below the old
     truncated block, the old zeros below the next block start are kept
-    and the new ones above it are added.  Z above RS_CROSSOVER depends
-    only on its own t, and every bracket there is built from grid points
-    and dips the old and new grids share, so the grown zeros are
-    bit-identical to a fresh scan.  A restart below RS_CROSSOVER, where
-    Z depends on its block, rescans in full.
+    and only the new ones above it are located and added.  Z above
+    RS_CROSSOVER depends only on its own t, and every bracket there is
+    built from grid points and dips the old and new grids share, so the
+    grown zeros are bit-identical to a fresh scan.  A restart below
+    RS_CROSSOVER, where Z depends on its block, rescans in full.
     """
 
     FIRST_ZERO_FLOOR = 10.0
@@ -184,10 +184,9 @@ class ZeroCache:
             zeros = self._scan(starts, t_hi)
         else:
             split = old[k + 1]
-            new = self._scan(starts[k:], t_hi)
             zeros = np.concatenate([
                 self.zeros[: np.searchsorted(self.zeros, split)],
-                new[np.searchsorted(new, split):],
+                self._scan(starts[k:], t_hi, split),
             ])
         self._check_count(zeros, t_hi)
         return zeros
@@ -202,8 +201,13 @@ class ZeroCache:
         blocks.append(np.array([t_hi]))
         return np.concatenate(blocks)
 
-    def _scan(self, starts: list, t_hi: float) -> np.ndarray:
+    def _scan(self, starts: list, t_hi: float, keep_from: float = 0.0) -> np.ndarray:
+        """The zeros >= keep_from found on the grid of `starts`.  A bracket
+        that ends below keep_from cannot hold a kept zero and is not
+        bisected, and the grid is evaluated from two points below
+        keep_from, the neighbours every kept bracket needs."""
         grid = self._grid(starts, t_hi)
+        grid = grid[max(0, int(np.searchsorted(grid, keep_from)) - 2):]
         z = hardy_z_many(grid, self.config)
         sgn = np.sign(z)
         flip = sgn[:-1] * sgn[1:] < 0
@@ -231,8 +235,10 @@ class ZeroCache:
             b.append(sub[rows, cols + 1])
             fa.append(zs[rows, cols])
 
-        return np.sort(self._bisect(np.concatenate(a), np.concatenate(b),
-                                    np.concatenate(fa)))
+        a, b, fa = np.concatenate(a), np.concatenate(b), np.concatenate(fa)
+        keep = b >= keep_from
+        zeros = np.sort(self._bisect(a[keep], b[keep], fa[keep]))
+        return zeros[np.searchsorted(zeros, keep_from):]
 
     def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
         """Midpoints of the brackets [a, b] (fa = Z(a)) after bisection."""

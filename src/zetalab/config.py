@@ -19,7 +19,7 @@ class PrecisionConfig:
     above it raises PrecisionError rather than returning a silently
     degraded value.  quad_step_cap caps the critical-line panel width;
     sigma-line panels take their width from the integrand's bandwidth
-    (quad.sigma_panel_edges) and have no knob.
+    (quad.sigma_panel_runs) and have no knob.
     """
 
     abs_tol: float = 1e-10

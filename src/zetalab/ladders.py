@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
 from .quad import _gl, critical_panel_width, gauss_panels
-from .zeta import EULER_GAMMA, hardy_z_many
+from .zeta import _BLOCK, EULER_GAMMA, hardy_z_many
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,34 @@ def _partial_panel(a: float, u: float, config: PrecisionConfig) -> float:
     return float(np.sum(z * z * w) * half)
 
 
+def _bracket(T: float, target: float, config: PrecisionConfig) -> Tuple[float, float, float]:
+    """(base, a, b): the GL8 panel [a, b] of [T, hi] in which the running
+    integral of Z^2 from T first reaches target, and the integral over
+    [T, a].
+
+    hi starts 2.2 predicted gaps above T and grows by 1.6 until the
+    integral reaches target.  Z is evaluated one block of nodes at a time,
+    only up to the crossing panel; Z above the crossover depends only on
+    its own t, so the running sums are a prefix of those over all nodes.
+    """
+    gap0 = target / math.log(T)
+    width = critical_panel_width(T + 3.0 * gap0, config)
+    hi = T + 2.2 * gap0
+    for _ in range(8):
+        nodes, weights = gauss_panels(T, hi, width, order=8)
+        parts = []
+        for j in range(0, len(nodes), _BLOCK):
+            z = hardy_z_many(nodes[j : j + _BLOCK], config)
+            parts.append((z * z * weights[j : j + _BLOCK]).reshape(-1, 8).sum(axis=1))
+            cum = np.concatenate([[0.0], np.cumsum(np.concatenate(parts))])
+            if cum[-1] >= target:
+                edges = np.linspace(T, hi, len(nodes) // 8 + 1)
+                i = int(np.searchsorted(cum, target)) - 1
+                return float(cum[i]), float(edges[i]), float(edges[i + 1])
+        hi = T + (hi - T) * 1.6
+    raise RootError(f"failed to bracket the reverse iterate of T={T}")
+
+
 _REVERSE_MEMO: dict[tuple, float] = {}
 _REVERSE_LOCK = threading.Lock()
 
@@ -65,8 +93,9 @@ _REVERSE_LOCK = threading.Lock()
 def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """The first reverse iterate T^1 of T (see module docstring).
 
-    Bracketed cumulative quadrature from the predicted gap, then a
-    safeguarded Newton/bisection polish inside the final panel.  The
+    Bracketed cumulative quadrature from the predicted gap, evaluated
+    only up to the panel where it crosses the target (`_bracket`), then a
+    safeguarded Newton/bisection polish inside that panel.  The
     defining-equation residual must come out below abs_tol * T.
     """
     T = float(T)
@@ -78,30 +107,10 @@ def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float
             return _REVERSE_MEMO[key]
 
     target = (1.0 - EULER_GAMMA) * T
-    gap0 = target / math.log(T)
-    width = critical_panel_width(T + 3.0 * gap0, config)
-
-    hi = T + 2.2 * gap0
-    for _ in range(8):
-        nodes, weights = gauss_panels(T, hi, width, order=8)
-        z = hardy_z_many(nodes, config)
-        per_panel = (z * z * weights).reshape(-1, 8).sum(axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(per_panel)])
-        if cum[-1] >= target:
-            break
-        hi = T + (hi - T) * 1.6
-    else:
-        raise RootError(f"failed to bracket the reverse iterate of T={T}")
-
-    edges = np.linspace(T, hi, len(per_panel) + 1)
-    i = int(np.searchsorted(cum, target)) - 1
-    i = max(0, min(i, len(per_panel) - 1))
-    base = float(cum[i])
-    a, b = float(edges[i]), float(edges[i + 1])
-    panel_lo = a
+    base, a, b = _bracket(T, target, config)
 
     def g(u: float) -> float:
-        return base + _partial_panel(panel_lo, u, config) - target
+        return base + _partial_panel(a, u, config) - target
 
     lo_, hi_ = a, b
     u = 0.5 * (a + b)

@@ -20,10 +20,10 @@ import numpy as np
 from .argz import S1Evaluator, shared_s1_evaluator
 from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig, PrecisionError
 from .quad import (
-    _integrate_halving, check_error, critical_panel_width, integrate_checked, integrate_kronrod,
-    sigma_panel_edges,
+    _integrate_halving, check_error, critical_panel_width, integrate_checked, kronrod_sums,
+    sigma_panel_runs,
 )
-from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_line
+from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_panels
 
 # Window-exponent constraint T^a <= H <= T from the Selberg-moment
 # formula, with a fixed once for reproducibility.
@@ -107,7 +107,11 @@ def second_moment_sigma(
 ) -> MomentEstimate:
     """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 1/2 + eps.
 
-    GK21 on `sigma_panel_edges`; quad_error is the |K21 - G10| sum.
+    GK21 on the panels of `sigma_panel_runs`: two mean zero gaps wide,
+    graded toward the pole.  |zeta|^2 comes from `zeta_abs2_panels`, which
+    builds one Euler-Maclaurin row per panel and reaches the panel's 21
+    nodes through a table shared by its run.  quad_error is the
+    |K21 - G10| sum.
     """
     if sigma < 0.5 + eps:
         raise DomainError(f"sigma must be >= 1/2 + {eps}")
@@ -124,11 +128,10 @@ def second_moment_sigma(
             achievable=bound,
         )
 
-    def f(ts: np.ndarray) -> np.ndarray:
-        return zeta_abs2_line(sigma, ts, config)
-
-    edges = sigma_panel_edges(sigma, t_lo, t_hi)
-    value, err = check_error(*integrate_kronrod(f, edges), what="sigma2")
+    runs = sigma_panel_runs(sigma, t_lo, t_hi)
+    vals = np.concatenate([zeta_abs2_panels(sigma, mids, half, config) for mids, half in runs])
+    halves = np.concatenate([np.full(len(mids), half) for mids, half in runs])
+    value, err = check_error(*kronrod_sums(vals, halves), what="sigma2")
     return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
 
 

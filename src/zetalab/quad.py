@@ -9,7 +9,7 @@ rounded, hence independent of evaluation order and worker count).
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -36,18 +36,28 @@ def critical_panel_width(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> 
     return min(config.quad_step_cap, 0.25 * gap)
 
 
-def sigma_panel_edges(sigma: float, t_lo: float, t_hi: float) -> np.ndarray:
-    """Panel edges for |zeta(sigma+it)|^2 on [t_lo, t_hi]: two mean zero
-    gaps at t_hi wide (the integrand's highest frequency is ln(t/2pi), so
-    its shortest period is one gap), except that no panel is wider than its
-    left end's distance to the pole s = 1, so near the pole the panels grow
-    geometrically away from it."""
+def sigma_panel_runs(sigma: float, t_lo: float, t_hi: float) -> List[Tuple[np.ndarray, float]]:
+    """Panels for |zeta(sigma+it)|^2 on [t_lo, t_hi] as runs (mids, half)
+    of equal-width panels [mid - half, mid + half].
+
+    Panels are two mean zero gaps at t_hi wide (the integrand's highest
+    frequency is ln(t/2pi), so its shortest period is one gap), except
+    that no panel is wider than its left end's distance to the pole
+    s = 1: near the pole the panels grow geometrically away from it, each
+    a run of its own.  The uniform panels that follow form one run,
+    mids = a + (2k+1) h, whose last panel ends at t_hi up to round-off.
+    """
     width = 2.0 * TWO_PI / math.log(max(float(t_hi), 20.0) / TWO_PI)
-    edges = [float(t_lo)]
+    runs = []
+    a = float(t_lo)
     # d = 0 only at the pole itself, where the panels cannot shrink to fit
-    while 0.0 < (d := math.hypot(sigma - 1.0, edges[-1])) < min(width, t_hi - edges[-1]):
-        edges.append(edges[-1] + d)
-    return np.concatenate([edges[:-1], panel_edges(edges[-1], t_hi, width)])
+    while 0.0 < (d := math.hypot(sigma - 1.0, a)) < min(width, t_hi - a):
+        runs.append((np.array([a + 0.5 * d]), 0.5 * d))
+        a += d
+    n = max(1, int(math.ceil((t_hi - a) / width)))
+    h = (t_hi - a) / (2 * n)
+    runs.append((a + (2 * np.arange(n) + 1) * h, h))
+    return runs
 
 
 def panel_edges(a: float, b: float, width: float) -> np.ndarray:
@@ -134,20 +144,24 @@ _GK_WK = np.array(_WGK + _WGK[-2::-1])
 _GK_WG = np.array(_WG + _WG[-2::-1])
 
 
+def kronrod_sums(vals: np.ndarray, half: np.ndarray) -> Tuple[float, float]:
+    """GK21 over panels from their samples `vals` (one row of 21 per panel)
+    and half widths: the fsum of the panels' Kronrod sums, and the fsum of
+    |Kronrod - Gauss| as the error estimate.  The weighted sums are
+    fixed-order numpy reductions, not BLAS, so they do not depend on the
+    BLAS thread count."""
+    kronrod = (vals * _GK_WK).sum(axis=1) * half
+    gauss = (vals * _GK_WG).sum(axis=1) * half
+    return math.fsum(kronrod.tolist()), math.fsum(np.abs(kronrod - gauss).tolist())
+
+
 def integrate_kronrod(
     f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
 ) -> Tuple[float, float]:
     """Integrate f over the panels between `edges` by GK21; returns
-    (value, error_estimate).
-
-    The value is the fsum of the panels' Kronrod sums and the estimate the
-    fsum of |Kronrod - Gauss|, both from the same 21 samples per panel.
-    """
+    (value, error_estimate) from the same 21 samples per panel."""
     nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    kronrod = vals @ _GK_WK * half
-    gauss = vals @ _GK_WG * half
-    return math.fsum(kronrod.tolist()), math.fsum(np.abs(kronrod - gauss).tolist())
+    return kronrod_sums(f(nodes.ravel()).reshape(nodes.shape), half)
 
 
 def check_error(

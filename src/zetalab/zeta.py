@@ -31,6 +31,15 @@ demand and is swapped in whole, so threads share it without a lock.
 Points are processed 64 at a time, which keeps the (n x points) work
 array to a few MB, and the sum over n is a fixed-order numpy reduction.
 
+Quadrature on a sigma-line needs zeta at the 21 Gauss-Kronrod nodes
+mid + half x_j of each panel.  There the rows are built once per panel,
+at its mid, and n^{-i(mid + half x_j)} = n^{-i mid} n^{-i half x_j}: one
+table U[n, j] = n^{-i half x_j}, itself built by the same prime plan, is
+shared by all the panels of one width, and each node is one multiply
+and one fixed-order sum over n (never BLAS, whose summation order
+depends on its thread count).  The main sum is thus taken at the exact
+node mid + half x_j, not at its double rounding.
+
 Vectorized kernels are deterministic functions of their input array
 (values and shape).  Euler-Maclaurin blocks depend on their largest t,
 which sets the cutoff and where the Bernoulli tail stops; Riemann-Siegel
@@ -55,6 +64,7 @@ from .config import (
     PrecisionConfig,
     PrecisionError,
 )
+from .quad import _GK_X
 
 TWO_PI = 2.0 * math.pi
 LN_PI = math.log(math.pi)
@@ -369,6 +379,7 @@ class _PrimePlan:
 
 _PLAN = _PrimePlan(0)  # grown on demand, replaced whole, never mutated
 _SUB_BLOCK = 64  # points per pass over the (n x points) work array
+_REDUCE_ROWS = 512  # rows of n per pass of the panel kernel's node sums
 
 
 def _prime_plan(N: int) -> _PrimePlan:
@@ -399,9 +410,14 @@ def _prime_phases(log_head: np.ndarray, log_tail: np.ndarray, t: np.ndarray) -> 
     return x
 
 
-def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
-    """sum_{n<N} n^{-s}, s = sigmas + i ts: one exp per prime, one multiply
-    per composite, summed over n by a fixed-order numpy reduction."""
+def _em_rows(sigmas: np.ndarray, ts: np.ndarray, N: int):
+    """The rows n^{-s} of sum_{n<N} n^{-s}, s = sigmas + i ts, built with
+    one exp per prime and one multiply per composite.
+
+    Yields (sub, v) per pass of at most _SUB_BLOCK points: v is the
+    (n x points) work array for ts[sub], in the plan's row order, and is
+    overwritten by the next pass.
+    """
     plan = _prime_plan(N)
     P = int(np.searchsorted(plan.primes, N))
     C = int(np.searchsorted(plan.composites, N))
@@ -413,7 +429,6 @@ def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
     neg_logp = plan.neg_logp[:P, None]
     log_head = plan.log_head[:P, None]
     log_tail = plan.log_tail[:P, None]
-    out = np.empty(len(ts), dtype=complex)
     work = np.empty((1 + P + C, min(_SUB_BLOCK, len(ts))), dtype=complex)
     work[0] = 1.0
     for i in range(0, len(ts), _SUB_BLOCK):
@@ -427,6 +442,14 @@ def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
             dst = v[r0:r1]
             np.take(v, spf_row[lo:hi], axis=0, out=dst)
             dst *= np.take(v, cof_row[lo:hi], axis=0)
+        yield sub, v
+
+
+def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
+    """sum_{n<N} n^{-s}, s = sigmas + i ts, summed over n by a fixed-order
+    numpy reduction."""
+    out = np.empty(len(ts), dtype=complex)
+    for sub, v in _em_rows(sigmas, ts, N):
         out[sub] = v.sum(axis=0)
     return out
 
@@ -435,16 +458,20 @@ def _zeta_em_block(
     sigmas: np.ndarray, ts: np.ndarray, config: PrecisionConfig
 ) -> np.ndarray:
     """EM for one block of points; cutoff set by the block's largest t."""
-    s = sigmas + 1j * ts
     N = config.em_cutoff(float(ts.max()) if len(ts) else 0.0)
-    out = _em_main_sum(sigmas, ts, N)
+    return _em_remainder(_em_main_sum(sigmas, ts, N), sigmas + 1j * ts, N, config)
+
+
+def _em_remainder(out: np.ndarray, s: np.ndarray, N: int, config: PrecisionConfig) -> np.ndarray:
+    """Add the EM remainder N^{1-s}/(s-1) + N^{-s}/2 and the Bernoulli tail
+    to the main sums `out`, in place."""
     Nf = float(N)
     out += Nf ** (1.0 - s) / (s - 1.0) + 0.5 * Nf ** (-s)
     # Bernoulli tail; a one-point block runs it in Python complex scalars,
     # which cost far less per step than numpy calls on a length-1 array
     ratios = _bernoulli_ratios(config.em_max_bernoulli)
     term = (1.0 / 12.0) * s * Nf ** (-s - 1.0)
-    if len(ts) == 1:
+    if len(s) == 1:
         out[0] = _bernoulli_tail(complex(out[0]), complex(s[0]), complex(term[0]),
                                  Nf, ratios, config.em_max_bernoulli, abs)
         return out
@@ -457,11 +484,12 @@ def _bernoulli_tail(acc, s, term, Nf: float, ratios: tuple, kmax: int, absmax):
     one k-loop for the whole block: it stops at the series' smallest term,
     judged by absmax over the block."""
     k = 1
+    amax = absmax(term)
     while True:
         acc += term
         nxt = term * (ratios[k] * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
-        amax = absmax(nxt)
-        if amax < 1e-17 or amax >= absmax(term) or k >= kmax:
+        prev, amax = amax, absmax(nxt)
+        if amax < 1e-17 or amax >= prev or k >= kmax:
             break
         term = nxt
         k += 1
@@ -529,8 +557,9 @@ def zeta_abs2_line(
 ) -> np.ndarray:
     """|zeta(sigma+it)|^2 for an array of heights on one sigma-line.
 
-    The quadrature workhorse: shares the n-grid across each block.
-    sigma == 0.5 delegates to Z via |zeta| = |Z|.
+    Euler-Maclaurin at every point, one cutoff per block of _BLOCK
+    points; sigma == 0.5 delegates to Z via |zeta| = |Z|.  Quadrature
+    on equal-width panels uses `zeta_abs2_panels` instead.
     """
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     if sigma == 0.5:
@@ -543,4 +572,44 @@ def zeta_abs2_line(
         blk = slice(i, min(i + _BLOCK, len(ts)))
         vals = _zeta_em_block(np.full(blk.stop - blk.start, float(sigma)), ts[blk], config)
         out[blk] = np.abs(vals) ** 2
+    return out
+
+
+def zeta_abs2_panels(
+    sigma: float, mids, half: float, config: PrecisionConfig = DEFAULT_CONFIG
+) -> np.ndarray:
+    """|zeta(sigma+it)|^2 at the GK21 nodes t = mids[k] + half * x_j of
+    equal-width panels, shaped (len(mids), 21).
+
+    The Euler-Maclaurin rows n^{-sigma-i mid} are built once per panel;
+    n^{-s} at node j is that row times U[n, j] = n^{-i half x_j}, one
+    table shared by all the panels.  The sum over n runs in passes of
+    _REDUCE_ROWS rows, each a numpy sum added in turn: a fixed order that
+    keeps the product buffer small.  The remainder and the Bernoulli tail
+    are added per node.  Blocks of _BLOCK // 21 panels share one cutoff,
+    set by their largest node.
+    """
+    mids = _as_height_array(np.atleast_1d(np.asarray(mids, dtype=float)))
+    if sigma <= 0.0:
+        raise DomainError("sigma-line evaluations require sigma > 0")
+    offsets = float(half) * _GK_X
+    out = np.empty((len(mids), len(offsets)))
+    step = _BLOCK // len(offsets)
+    for i in range(0, len(mids), step):
+        m = mids[i : i + step]
+        ts = m[None, :] + offsets[:, None]  # (node, panel)
+        N = config.em_cutoff(float(ts.max()))
+        _, u = next(_em_rows(np.zeros(len(offsets)), offsets, N))
+        main = np.zeros(ts.shape, dtype=complex)
+        for sub, v in _em_rows(np.full(len(m), float(sigma)), m, N):
+            acc = main[:, sub]
+            tmp = np.empty((min(_REDUCE_ROWS, len(v)), v.shape[1]), dtype=complex)
+            for r in range(0, len(v), _REDUCE_ROWS):
+                vr, ur = v[r : r + _REDUCE_ROWS], u[r : r + _REDUCE_ROWS]
+                part = tmp[: len(vr)]
+                for j in range(len(offsets)):
+                    np.multiply(vr, ur[:, j, None], out=part)
+                    acc[j] += part.sum(axis=0)
+        vals = _em_remainder(main.ravel(), sigma + 1j * ts.ravel(), N, config)
+        out[i : i + step] = (np.abs(vals) ** 2).reshape(ts.shape).T
     return out

@@ -133,9 +133,9 @@ class TestZeroCacheGrowth:
         scan = cache._scan
         restarts = []
 
-        def recording_scan(starts, t_hi):
+        def recording_scan(starts, t_hi, *keep_from):
             restarts.append(starts[0])
-            return scan(starts, t_hi)
+            return scan(starts, t_hi, *keep_from)
 
         cache._scan = recording_scan
         for t in ceilings:

@@ -2,16 +2,41 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zetalab import (
+    DEFAULT_CONFIG,
     DomainError,
     EULER_GAMMA,
+    hardy_z_many,
     ladder_chain,
     partition_report,
     reverse_iterate,
     second_moment_critical,
 )
+from zetalab import ladders
+from zetalab.quad import critical_panel_width, gauss_panels
+
+
+def _full_range_bracket(T):
+    """The reverse step's bracket with Z at every node of [T, hi]: the
+    crossing panel [a, b] and the running sum `base` up to a."""
+    target = (1.0 - EULER_GAMMA) * T
+    gap0 = target / math.log(T)
+    width = critical_panel_width(T + 3.0 * gap0)
+    hi = T + 2.2 * gap0
+    while True:
+        nodes, weights = gauss_panels(T, hi, width, order=8)
+        z = hardy_z_many(nodes)
+        per_panel = (z * z * weights).reshape(-1, 8).sum(axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(per_panel)])
+        if cum[-1] >= target:
+            break
+        hi = T + (hi - T) * 1.6
+    edges = np.linspace(T, hi, len(per_panel) + 1)
+    i = int(np.searchsorted(cum, target)) - 1
+    return float(cum[i]), float(edges[i]), float(edges[i + 1])
 
 
 class TestReverseIterate:
@@ -40,6 +65,26 @@ class TestReverseIterate:
     def test_rejects_small_T(self):
         with pytest.raises(DomainError):
             reverse_iterate(50.0)
+
+    @pytest.mark.parametrize("T", [100.0, 1e3, 1e4, 10494.420514083624, 2e4])
+    def test_bracket_equals_the_full_range_reference(self, T):
+        target = (1.0 - EULER_GAMMA) * T
+        assert ladders._bracket(T, target, DEFAULT_CONFIG) == _full_range_bracket(T)
+
+    def test_bracket_stops_at_its_crossing(self, monkeypatch):
+        # T^1 lies near T + 1.07 gaps; the full [T, T + 2.2 gaps] range
+        # holds 80,792 nodes, the blocks up to the crossing 40,960
+        points = []
+        z = ladders.hardy_z_many
+
+        def counting_z(t, config=DEFAULT_CONFIG):
+            points.append(len(t))
+            return z(t, config)
+
+        monkeypatch.setattr(ladders, "hardy_z_many", counting_z)
+        monkeypatch.setattr(ladders, "_REVERSE_MEMO", {})
+        reverse_iterate(1e4)
+        assert sum(points) <= 45_056
 
 
 class TestLadderChain:

@@ -1,5 +1,6 @@
 """Interval moments, the Selberg-moment constant, and the constants cache."""
 
+import importlib
 import math
 
 import mpmath as mp
@@ -19,8 +20,10 @@ from zetalab import (
     second_moment_sigma,
     shared_s1_evaluator,
 )
-from zetalab.quad import gauss_panels
-from zetalab.zeta import zeta_abs2_line
+from zetalab.quad import gauss_panels, sigma_panel_runs
+from zetalab.zeta import _BLOCK, zeta_abs2_line
+
+zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
 
 ZETA2 = math.pi ** 2 / 6.0
 ZETA3 = 1.2020569031595943
@@ -79,6 +82,23 @@ class TestSigma2:
     def test_window_at_the_pole_diverges(self):
         with pytest.raises(PoleError):
             second_moment_sigma(1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("t_lo,t_hi", [(1e4, 10494.42), (0.5, 300.0)])
+    def test_one_em_row_per_panel(self, monkeypatch, t_lo, t_hi):
+        built = []
+        em_rows = zeta_module._em_rows
+
+        def counting_rows(sigmas, ts, N):
+            built.append((float(sigmas[0]), len(ts)))
+            return em_rows(sigmas, ts, N)
+
+        monkeypatch.setattr(zeta_module, "_em_rows", counting_rows)
+        second_moment_sigma(1.0, t_lo, t_hi)
+        runs = sigma_panel_runs(1.0, t_lo, t_hi)
+        # one row per panel, plus one 21-node table per block of a run
+        assert sum(n for s, n in built if s == 1.0) == sum(len(m) for m, _ in runs)
+        tables = [n for s, n in built if s == 0.0]
+        assert tables == [21] * sum(-(-len(m) // (_BLOCK // 21)) for m, _ in runs)
 
 
 def _mp_sigma_moment(sigma, edges, order=24):

@@ -13,7 +13,7 @@ from zetalab.quad import (
     integrate_kronrod,
     integrate_panels,
     panel_edges,
-    sigma_panel_edges,
+    sigma_panel_runs,
 )
 
 
@@ -95,16 +95,34 @@ def test_kronrod_exactness_and_estimate():
     assert abs(val - math.sin(30.0)) <= err
 
 
+def _run_edges(runs):
+    """Left ends of every panel of `runs`, then the last panel's right end."""
+    lefts = np.concatenate([mids - half for mids, half in runs])
+    mids, half = runs[-1]
+    return np.append(lefts, mids[-1] + half)
+
+
 def test_sigma_panel_edges_rule():
-    # away from the pole: uniform panels two mean zero gaps at t_hi wide
+    # away from the pole: one run of uniform panels two mean zero gaps at
+    # t_hi wide, mids = a + (2k+1) h
     t_hi = 10494.42
     gap = 2.0 * math.pi / math.log(t_hi / (2.0 * math.pi))
-    assert np.array_equal(sigma_panel_edges(1.0, 1e4, t_hi), panel_edges(1e4, t_hi, 2.0 * gap))
-    # near it: no panel wider than its left end's distance to s = 1
-    assert sigma_panel_edges(1.0, 0.1, 3.0).tolist() == [0.1, 0.2, 0.4, 0.8, 1.6, 3.0]
+    runs = sigma_panel_runs(1.0, 1e4, t_hi)
+    assert len(runs) == 1
+    ref = panel_edges(1e4, t_hi, 2.0 * gap)
+    mids, half = runs[0]
+    assert half == (t_hi - 1e4) / (2 * (len(ref) - 1))
+    assert np.array_equal(mids, 1e4 + (2 * np.arange(len(ref) - 1) + 1) * half)
+    np.testing.assert_allclose(_run_edges(runs), ref, rtol=1e-15, atol=0)
+    # near it: no panel wider than its left end's distance to s = 1, each
+    # graded panel a run of its own
+    runs = sigma_panel_runs(1.0, 0.1, 3.0)
+    assert [len(m) for m, _ in runs] == [1, 1, 1, 1, 1]
+    np.testing.assert_allclose(_run_edges(runs), [0.1, 0.2, 0.4, 0.8, 1.6, 3.0], rtol=1e-15)
     for sigma, t_lo, t_hi in [(0.6, 0.0, 4.0), (1.0, 1e-9, 50.0), (1.2, 0.0, 100.0)]:
-        e = sigma_panel_edges(sigma, t_lo, t_hi)
-        assert e[0] == t_lo and e[-1] == t_hi and np.all(np.diff(e) > 0)
+        e = _run_edges(sigma_panel_runs(sigma, t_lo, t_hi))
+        assert e[[0, -1]] == pytest.approx([t_lo, t_hi], rel=1e-15, abs=1e-24)
+        assert np.all(np.diff(e) > 0)
         assert np.all(np.diff(e) <= np.hypot(sigma - 1.0, e[:-1]) * (1 + 1e-15))
     # the grading is geometric, so a window by the pole stays small
-    assert len(sigma_panel_edges(1.0, 1e-9, 50.0)) < 60
+    assert len(_run_edges(sigma_panel_runs(1.0, 1e-9, 50.0))) < 60

@@ -36,7 +36,9 @@ from zetalab.zeta import (
     em_roundoff_bound,
     rs_error_bound,
     zeta_abs2_line,
+    zeta_abs2_panels,
 )
+from zetalab.quad import _GK_X, sigma_panel_runs
 
 zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
 
@@ -267,6 +269,77 @@ class TestLineKernel:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestPanelKernel:
+    """|zeta|^2 at the GK21 nodes of equal-width panels: one EM row per
+    panel, reached at each node through a table shared by the panels."""
+
+    @pytest.mark.parametrize("sigma", [0.51, 0.6, 1.0, 2.0])
+    def test_matches_mpmath_at_the_exact_nodes(self, sigma):
+        # the kernel evaluates at mid + half * x_j exactly, not at its
+        # double rounding, which moves |zeta|^2 by up to 3e-12 at t = 1e4; the
+        # two high windows check alternate nodes, so every node is seen
+        half = 0.65
+        for T, nodes in ((200.0, range(21)), (1e3, range(21)),
+                         (1e4, range(0, 21, 2)), (5e4, range(1, 21, 2))):
+            mid = T + 0.6
+            got = zeta_abs2_panels(sigma, [mid], half)[0]
+            for j in nodes:
+                with mp.workdps(20):
+                    t = mp.mpf(mid) + mp.mpf(half) * mp.mpf(float(_GK_X[j]))
+                    ref = float(abs(mp.zeta(mp.mpc(sigma, t))) ** 2)
+                b = em_error_bound(sigma, float(t))
+                assert abs(got[j] - ref) <= 2.0 * math.sqrt(ref) * b + b * b
+                if sigma >= 1.0:
+                    assert got[j] == pytest.approx(ref, rel=2e-13)
+
+    @pytest.mark.parametrize(
+        "sigma,t_lo,t_hi",
+        [(1.0, 0.1, 30.0), (0.6, 0.0, 40.0), (1.2, 0.0, 100.0), (1.0, 1e3, 1010.0),
+         (0.6, 1e3, 1010.0), (2.0, 1e3, 1010.0), (1.0, 1e3, 1500.0)],
+    )
+    def test_matches_the_line_kernel(self, sigma, t_lo, t_hi):
+        # graded panels at the pole are runs of one panel each, and the
+        # 218 panels on [1e3, 1500] span two blocks; the line kernel sees
+        # the double-rounded nodes
+        for mids, half in sigma_panel_runs(sigma, t_lo, t_hi):
+            got = zeta_abs2_panels(sigma, mids, half)
+            nodes = mids[:, None] + half * _GK_X[None, :]
+            line = zeta_abs2_line(sigma, nodes.ravel()).reshape(nodes.shape)
+            np.testing.assert_allclose(got, line, rtol=5e-12, atol=0)
+
+    def test_threads_share_the_plan_bit_identically(self, monkeypatch):
+        windows = [(t0 + (2 * np.arange(150) + 1) * 0.3, 0.3) for t0 in (3e3, 2e4, 8e3, 5e4)]
+        serial = [zeta_abs2_panels(1.0, mids, half) for mids, half in windows]
+        monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(zeta_abs2_panels, 1.0, mids, half)
+                           for mids, half in windows]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    def test_memory_is_bounded(self):
+        half = 0.3
+        mids = 1e4 + (2 * np.arange(1000) + 1) * half
+        tracemalloc.start()
+        try:
+            zeta_abs2_panels(1.0, mids, half)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            zeta_abs2_panels(0.0, [100.0], 0.5)
+        with pytest.raises(DomainError):
+            zeta_abs2_panels(1.0, [-1.0], 0.5)
 
 
 class TestHardyZ:
