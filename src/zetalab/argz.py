@@ -31,7 +31,7 @@ from .quad import _gl, _nodes, gauss_panels
 from .zeta import (
     RS_CROSSOVER,
     TWO_PI,
-    _zeta_em_block,
+    _zeta_point,
     hardy_z_many,
     theta,
 )
@@ -51,14 +51,6 @@ _MAX_SPLIT_DEPTH = 26
 _ARG_STEP_LIMIT = 1.2  # radians per accepted tracking increment
 
 
-def _zeta_at(sigma: float, t: float, config: PrecisionConfig) -> complex:
-    """Polyline node value; the critical-line endpoint comes from Z."""
-    if sigma == 0.5 and t >= RS_CROSSOVER:
-        z = float(hardy_z_many(np.array([t]), config)[0])
-        return z * complex(np.exp(-1j * theta(t)))
-    return complex(_zeta_em_block(np.array([sigma]), np.array([t]), config)[0])
-
-
 def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
     """S(t) by adaptive branch tracking, with N(t) and the residual.
 
@@ -75,10 +67,10 @@ def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
     # Vertical leg: |zeta(2+it) - 1| <= zeta(2) - 1 < 1 keeps the value in
     # the right half-plane, so the principal argument is already the
     # continuous branch.
-    v = _zeta_at(2.0, t, config)
+    v = _zeta_point(2.0, t, config)
     total = math.atan2(v.imag, v.real)
 
-    endpoint = _zeta_at(0.5, t, config)
+    endpoint = _zeta_point(0.5, t, config)
     if abs(endpoint) < 1e-6:
         raise AmbiguousBranchError(f"t={t} is numerically at a zero ordinate")
 
@@ -100,12 +92,12 @@ def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
                 f"argument varies too fast near sigma={s1:.6f}..{s2:.6f}, t={t}"
             )
         sm = 0.5 * (s1 + s2)
-        vm = _zeta_at(sm, t, config)
+        vm = _zeta_point(sm, t, config)
         return increment(s1, sm, v1, vm, depth + 1) + increment(sm, s2, vm, v2, depth + 1)
 
     v_prev = v
     for j in range(1, len(sigmas)):
-        v_next = endpoint if j == len(sigmas) - 1 else _zeta_at(float(sigmas[j]), t, config)
+        v_next = endpoint if j == len(sigmas) - 1 else _zeta_point(float(sigmas[j]), t, config)
         total += increment(float(sigmas[j - 1]), float(sigmas[j]), v_prev, v_next, 0)
         v_prev = v_next
 
@@ -352,13 +344,6 @@ class S1Evaluator:
 
     def value(self, t: float) -> float:
         return float(self.value_many(np.array([float(t)]))[0])
-
-    def s_value_many(self, t) -> np.ndarray:
-        """S(u) = N(u) - 1 - theta(u)/pi from the zero staircase."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        tab = self.ensure(float(t.max()) if len(t) else 0.0)
-        k = np.searchsorted(tab.zeros, t)
-        return k - 1.0 - theta(t) / math.pi
 
     def zeros_in(self, a: float, b: float) -> np.ndarray:
         tab = self.ensure(b)

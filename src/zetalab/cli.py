@@ -25,7 +25,7 @@ from .config import (
     PrecisionError,
     ZetaLabError,
 )
-from .fermat import fermat_equivalence_check, witness_csv_rows
+from .fermat import fermat_equivalence_check
 from .functionals import chain_compare, functional_approximant, substitution_constant
 from .gram import gram_csv_rows, gram_range
 from .ladders import ladder_chain, ladder_csv_rows, reverse_iterate
@@ -38,7 +38,7 @@ from .moments import (
     second_moment_critical,
     second_moment_sigma,
 )
-from .sums import fourth_power_sum, sums_csv_rows, titchmarsh_sum, verify_asymptotic_trend
+from .sums import fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
 from .zeta import EULER_GAMMA, hardy_z, theta, theta_deriv
 
 EXIT_OK = 0
@@ -146,12 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(args) -> PrecisionConfig:
-    if args.config:
-        return PrecisionConfig.from_json(args.config)
-    return DEFAULT_CONFIG
-
-
 def _cache(args) -> ConstantsCache:
     if args.cache_dir:
         return ConstantsCache(os.path.join(args.cache_dir, "constants.json"))
@@ -187,7 +181,7 @@ def _pmap(jobs: int, fn, items: Sequence):
 
 
 def _run(args, raw_argv: Sequence[str]) -> int:
-    config = _load_config(args)
+    config = PrecisionConfig.from_json(args.config) if args.config else DEFAULT_CONFIG
     manifest = RunManifest(raw_argv, config)
     cache = _cache(args)
 
@@ -242,7 +236,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
         res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(
             args.t_lo, args.t_hi, config)
         _emit(manifest, args, ["kind", "T", "terms", "value", "main_term", "ratio"],
-              sums_csv_rows([res]))
+              [res.csv_row()])
 
     elif args.command == "functional":
         if args.kind in ("A", "C") and args.sigma is None:
@@ -273,7 +267,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
             l=args.l, cbar=cbar, tau_schedule=args.tau, config=config)
         _emit(manifest, args,
               ["x", "y", "z", "n", "numerator", "denominator", "is_one", "verdict"],
-              witness_csv_rows([w]))
+              [w.csv_row()])
 
     elif args.command == "chain":
         est = cache.get(args.l, args.cbar_T, args.cbar_H)

@@ -24,7 +24,6 @@ class PrecisionConfig:
 
     abs_tol: float = 1e-10
     quad_step_cap: float = 0.1
-    max_newton_iters: int = 60
     # Euler-Maclaurin cutoff rule: N(t) = ceil(|t|/2pi) + margin(t) with
     # margin(t) = max(em_margin_base, ceil(em_margin_scale * sqrt(|t|))).
     # The sqrt term keeps the attainable truncation floor near 1e-11 at
@@ -32,7 +31,6 @@ class PrecisionConfig:
     # t ~ 5e4).
     em_margin_base: int = 50
     em_margin_scale: float = 2.0
-    em_max_bernoulli: int = 500
     eval_tol: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -40,8 +38,6 @@ class PrecisionConfig:
             raise DomainError("abs_tol must be positive and finite")
         if not (self.quad_step_cap > 0 and math.isfinite(self.quad_step_cap)):
             raise DomainError("quad_step_cap must be positive and finite")
-        if self.max_newton_iters < 1:
-            raise DomainError("max_newton_iters must be >= 1")
         if self.em_margin_base < 1 or self.em_margin_scale < 0:
             raise DomainError("invalid Euler-Maclaurin margin policy")
 
@@ -50,6 +46,14 @@ class PrecisionConfig:
         t = abs(float(t))
         margin = max(self.em_margin_base, int(math.ceil(self.em_margin_scale * math.sqrt(t))))
         return int(math.ceil(t / (2.0 * math.pi))) + margin
+
+    def check_eval(self, bound: float, what: str) -> None:
+        """The accuracy gate: raise PrecisionError when the a-posteriori
+        bound of an evaluation exceeds eval_tol."""
+        if bound > self.eval_tol:
+            raise PrecisionError(
+                f"{what} attainable only to {bound:.2e} > eval_tol", achievable=bound
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -138,7 +138,3 @@ def fermat_equivalence_check(
         approximants=trace,
         verdict=verdict,
     )
-
-
-def witness_csv_rows(witnesses: Sequence[FermatWitness]) -> List[List[str]]:
-    return [w.csv_row() for w in witnesses]

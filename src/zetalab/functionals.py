@@ -16,8 +16,8 @@ exactly, since both calls then hit bitwise-identical windows.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -87,40 +87,19 @@ def substitution_constant(
     raise DomainError(f"unknown functional kind {kind!r}")
 
 
-_WINDOW_MEMO: dict[tuple, float] = {}
-_WINDOW_LOCK = threading.Lock()
-
-
-def _memoized(key: tuple, compute) -> float:
-    with _WINDOW_LOCK:
-        if key in _WINDOW_MEMO:
-            return _WINDOW_MEMO[key]
-    val = compute()
-    with _WINDOW_LOCK:
-        _WINDOW_MEMO[key] = val
-    return val
-
-
+@functools.lru_cache(maxsize=None)
 def _crit_window(T: float, config: PrecisionConfig) -> float:
-    U = reverse_iterate(T, config)
-    return _memoized(
-        ("crit", T, config), lambda: second_moment_critical(T, U, config).value
-    )
+    return second_moment_critical(T, reverse_iterate(T, config), config).value
 
 
+@functools.lru_cache(maxsize=None)
 def _sigma_window(sigma: float, T: float, config: PrecisionConfig) -> float:
-    U = reverse_iterate(T, config)
-    return _memoized(
-        ("sigma", float(sigma), T, config),
-        lambda: second_moment_sigma(sigma, T, U, config).value,
-    )
+    return second_moment_sigma(sigma, T, reverse_iterate(T, config), config).value
 
 
+@functools.lru_cache(maxsize=None)
 def _s1_window(l: int, T: float, config: PrecisionConfig) -> float:
-    U = reverse_iterate(T, config)
-    return _memoized(
-        ("s1", int(l), T, config), lambda: s1_moment(l, T, U, config).value
-    )
+    return s1_moment(l, T, reverse_iterate(T, config), config).value
 
 
 def quotient_zeta(sigma: float, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import lambertw
@@ -31,6 +31,9 @@ class GramRange:
         return len(self.points)
 
 
+_NEWTON_STEPS = 6  # quadratic convergence from the asymptotic inverse
+
+
 def _initial_guess(nus: np.ndarray) -> np.ndarray:
     """Invert the theta main term: u ln(u/e) = nu + 1/8 with u = t/2pi."""
     v = (nus + 0.125) / math.e
@@ -49,7 +52,7 @@ def _solve_many(nus: np.ndarray, config: PrecisionConfig) -> np.ndarray:
     """
     target = np.pi * nus
     t = _initial_guess(nus)
-    for _ in range(max(6, config.max_newton_iters // 10)):
+    for _ in range(_NEWTON_STEPS):
         resid = theta(t) - target
         t = t - resid / theta_deriv(t)
     resid = theta(t) - target
@@ -89,6 +92,13 @@ def gram_points(nu_lo: int, nu_hi: int, config: PrecisionConfig = DEFAULT_CONFIG
     ]
 
 
+def _index_bounds(t_lo: float, t_hi: float) -> Tuple[int, int]:
+    """Gram indices lo..hi that can hold a t_nu in [t_lo, t_hi), from
+    theta at the endpoints; the caller drops the t_nu outside the window."""
+    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)))
+    return lo, int(math.floor(theta(t_hi) / math.pi))
+
+
 def gram_range(
     t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
 ) -> GramRange:
@@ -99,8 +109,7 @@ def gram_range(
     """
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("gram_range requires 2*pi < t_lo < t_hi")
-    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)))
-    hi = int(math.floor(theta(t_hi) / math.pi))
+    lo, hi = _index_bounds(t_lo, t_hi)
     if hi < lo:
         return GramRange(t_lo=t_lo, t_hi=t_hi, points=[])
     pts = gram_points(lo, hi, config)

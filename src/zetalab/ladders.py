@@ -11,8 +11,8 @@ second-moment integral into asymptotically equal parts.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -86,8 +86,7 @@ def _bracket(T: float, target: float, config: PrecisionConfig) -> Tuple[float, f
     raise RootError(f"failed to bracket the reverse iterate of T={T}")
 
 
-_REVERSE_MEMO: dict[tuple, float] = {}
-_REVERSE_LOCK = threading.Lock()
+_POLISH_STEPS = 120  # cap on the Newton/bisection polish of T^1
 
 
 def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -101,11 +100,11 @@ def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float
     T = float(T)
     if not (T >= 100.0):
         raise DomainError("reverse_iterate requires T >= 100")
-    key = (T, config)
-    with _REVERSE_LOCK:
-        if key in _REVERSE_MEMO:
-            return _REVERSE_MEMO[key]
+    return _reverse_iterate(T, config)
 
+
+@functools.lru_cache(maxsize=None)
+def _reverse_iterate(T: float, config: PrecisionConfig) -> float:
     target = (1.0 - EULER_GAMMA) * T
     base, a, b = _bracket(T, target, config)
 
@@ -114,7 +113,7 @@ def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float
 
     lo_, hi_ = a, b
     u = 0.5 * (a + b)
-    for _ in range(config.max_newton_iters + 60):
+    for _ in range(_POLISH_STEPS):
         gu = g(u)
         if gu > 0:
             hi_ = u
@@ -139,8 +138,6 @@ def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float
         raise RootError(
             f"reverse_iterate residual {resid:.3e} exceeds abs_tol*T at T={T}"
         )
-    with _REVERSE_LOCK:
-        _REVERSE_MEMO[key] = u
     return u
 
 

@@ -18,9 +18,9 @@ from typing import List, Optional
 import numpy as np
 
 from .argz import S1Evaluator, shared_s1_evaluator
-from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig, PrecisionError
+from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
 from .quad import (
-    _integrate_halving, check_error, critical_panel_width, integrate_checked, kronrod_sums,
+    _integrate_halving, check_error, critical_panel_width, integrate_panels, kronrod_sums,
     sigma_panel_runs,
 )
 from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_panels
@@ -62,7 +62,12 @@ class CbarEstimate:
 
     @property
     def cache_key(self) -> str:
-        return f"cbar/l={self.l}/T={self.T:.15g}/H={self.H:.15g}"
+        return _cbar_key(self.l, self.T, self.H)
+
+
+def _cbar_key(l: int, T: float, H: float) -> str:
+    """The constants-cache key of a c-bar fit."""
+    return f"cbar/l={int(l)}/T={float(T):.15g}/H={float(H):.15g}"
 
 
 def _finish(t_lo: float, t_hi: float, kind: str, param, value: float, err: float) -> MomentEstimate:
@@ -83,18 +88,14 @@ def second_moment_critical(
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "critical2", None, 0.0, 0.0)
     if t_hi >= RS_CROSSOVER:
-        bound = float(rs_error_bound(t_hi))
-        if bound > config.eval_tol:
-            raise PrecisionError(
-                f"Z attainable only to {bound:.2e} on [{t_lo}, {t_hi}]", achievable=bound
-            )
+        config.check_eval(float(rs_error_bound(t_hi)), f"Z on [{t_lo}, {t_hi}]")
     width = critical_panel_width(t_hi, config)
 
     def f(ts: np.ndarray) -> np.ndarray:
         z = hardy_z_many(ts, config)
         return z * z
 
-    value, err = integrate_checked(f, t_lo, t_hi, width, order=8, what="critical2")
+    value, err = check_error(*integrate_panels(f, t_lo, t_hi, width, order=8), what="critical2")
     return _finish(t_lo, t_hi, "critical2", None, value, err)
 
 
@@ -121,12 +122,7 @@ def second_moment_sigma(
         return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
     if sigma == 1.0 and t_lo == 0.0:
         raise PoleError(f"[{t_lo}, {t_hi}] meets the pole s = 1; the moment diverges")
-    bound = em_error_bound(sigma, t_hi, config)
-    if bound > config.eval_tol:
-        raise PrecisionError(
-            f"zeta({sigma}+it) attainable only to {bound:.2e} on [{t_lo}, {t_hi}]",
-            achievable=bound,
-        )
+    config.check_eval(em_error_bound(sigma, t_hi, config), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
 
     runs = sigma_panel_runs(sigma, t_lo, t_hi)
     vals = np.concatenate([zeta_abs2_panels(sigma, mids, half, config) for mids, half in runs])
@@ -250,8 +246,7 @@ class ConstantsCache:
         return est.cache_key
 
     def get(self, l: int, T: float, H: float) -> Optional[CbarEstimate]:
-        key = f"cbar/l={int(l)}/T={float(T):.15g}/H={float(H):.15g}"
-        rec = self._load().get(key)
+        rec = self._load().get(_cbar_key(l, T, H))
         if rec is None:
             return None
         return CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=rec["cbar"], spread=rec["spread"])

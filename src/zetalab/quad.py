@@ -8,6 +8,7 @@ rounded, hence independent of evaluation order and worker count).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, List, Tuple
 
@@ -18,13 +19,10 @@ from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 
-_GL_CACHE: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _gl(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = leggauss(order)
-    return _GL_CACHE[order]
+    return leggauss(order)
 
 
 def critical_panel_width(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -63,8 +61,6 @@ def sigma_panel_runs(sigma: float, t_lo: float, t_hi: float) -> List[Tuple[np.nd
 def panel_edges(a: float, b: float, width: float) -> np.ndarray:
     if not (b >= a):
         raise DomainError("integration interval must have a <= b")
-    if a == b:
-        return np.array([a, b])
     n = max(1, int(math.ceil((b - a) / width)))
     return np.linspace(a, b, n + 1)
 
@@ -155,15 +151,6 @@ def kronrod_sums(vals: np.ndarray, half: np.ndarray) -> Tuple[float, float]:
     return math.fsum(kronrod.tolist()), math.fsum(np.abs(kronrod - gauss).tolist())
 
 
-def integrate_kronrod(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray
-) -> Tuple[float, float]:
-    """Integrate f over the panels between `edges` by GK21; returns
-    (value, error_estimate) from the same 21 samples per panel."""
-    nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
-    return kronrod_sums(f(nodes.ravel()).reshape(nodes.shape), half)
-
-
 def check_error(
     value: float, err: float, rel_gate: float = 0.01, what: str = "integral"
 ) -> Tuple[float, float]:
@@ -175,16 +162,3 @@ def check_error(
             achievable=err,
         )
     return value, err
-
-
-def integrate_checked(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    width: float,
-    order: int = 8,
-    rel_gate: float = 0.01,
-    what: str = "integral",
-) -> Tuple[float, float]:
-    """integrate_panels plus the acceptance gate of check_error."""
-    return check_error(*integrate_panels(f, a, b, width, order), rel_gate, what)

@@ -9,16 +9,16 @@ fourth-power sum.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig
-from .gram import _solve_many
-from .zeta import TWO_PI, hardy_z_many, theta
+from .gram import _index_bounds, _solve_many
+from .zeta import TWO_PI, hardy_z_many
 
 PAIR_MAIN_CONSTANT = 3.0 / (4.0 * math.pi ** 5)
 FOURTH_MAIN_CONSTANT = 1.0 / (4.0 * math.pi ** 3)
@@ -54,12 +54,7 @@ class TrendReport:
     passed: bool  # |r - 1| non-increasing across the top two heights
 
 
-def _is_doubling_window(t_lo: float, t_hi: float) -> bool:
-    return abs(t_hi - 2.0 * t_lo) <= 1e-9 * t_hi
-
-
-_SUM_MEMO: dict[tuple, SumResult] = {}
-_SUM_LOCK = threading.Lock()
+_KINDS = ("pair", "fourth")
 
 
 def _gram_sum(
@@ -68,24 +63,25 @@ def _gram_sum(
     kind: str,
     config: PrecisionConfig,
 ) -> SumResult:
-    """The pair or fourth-power sum over [t_lo, t_hi).
-
-    Both kinds share the window's Gram points and Z values, so one solve
-    and one Z evaluation serve both, and both results are memoised.
-    """
+    """The pair or fourth-power sum over [t_lo, t_hi)."""
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("sum window requires 2*pi < t_lo < t_hi")
-    key = (kind, float(t_lo), float(t_hi), config)
-    with _SUM_LOCK:
-        if key in _SUM_MEMO:
-            return _SUM_MEMO[key]
+    return _gram_window(float(t_lo), float(t_hi), config)[_KINDS.index(kind)]
 
-    # indices as in gram_range, plus one for the pair's last factor
-    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)))
-    hi = int(math.floor(theta(t_hi) / math.pi))
+
+@functools.lru_cache(maxsize=None)
+def _gram_window(
+    t_lo: float, t_hi: float, config: PrecisionConfig
+) -> Tuple[SumResult, SumResult]:
+    """The (pair, fourth) sums over [t_lo, t_hi), memoised together: both
+    kinds share the window's Gram points and Z values, so one solve and
+    one Z evaluation serve both.
+    """
+    lo, hi = _index_bounds(t_lo, t_hi)
     values = {"pair": 0.0, "fourth": 0.0}
     terms = 0
     if hi >= lo:
+        # one index past the window for the pair's last factor
         ts = _solve_many(np.arange(lo, hi + 2, dtype=float), config)
         inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
         terms = len(inside)
@@ -95,18 +91,15 @@ def _gram_sum(
             values["pair"] = math.fsum((z2[:-1] * z2[1:]).tolist())
             values["fourth"] = math.fsum((z[:-1] ** 4).tolist())
 
-    doubling = _is_doubling_window(t_lo, t_hi)
-    results = {}
-    for k, const in (("pair", PAIR_MAIN_CONSTANT), ("fourth", FOURTH_MAIN_CONSTANT)):
+    doubling = abs(t_hi - 2.0 * t_lo) <= 1e-9 * t_hi
+    results = []
+    for k, const in zip(_KINDS, (PAIR_MAIN_CONSTANT, FOURTH_MAIN_CONSTANT)):
         main = const * t_lo * math.log(t_lo) ** 5 if doubling else None
-        results[k] = SumResult(
-            t_lo=float(t_lo), t_hi=float(t_hi), kind=k, terms=terms, value=values[k],
+        results.append(SumResult(
+            t_lo=t_lo, t_hi=t_hi, kind=k, terms=terms, value=values[k],
             main_term=main, ratio=None if main is None else values[k] / main,
-        )
-    with _SUM_LOCK:
-        for k, res in results.items():
-            _SUM_MEMO[(k,) + key[1:]] = res
-    return results[kind]
+        ))
+    return tuple(results)
 
 
 def titchmarsh_sum(
@@ -146,7 +139,3 @@ def verify_asymptotic_trend(
     fitted = [abs(r - 1.0) * math.log(T) for r, T in zip(ratios, hs)]
     passed = abs(ratios[-1] - 1.0) <= abs(ratios[-2] - 1.0)
     return TrendReport(kind=kind, heights=hs, ratios=ratios, fitted=fitted, passed=passed)
-
-
-def sums_csv_rows(results: Sequence[SumResult]) -> List[List[str]]:
-    return [r.csv_row() for r in results]

@@ -62,7 +62,6 @@ from .config import (
     DomainError,
     PoleError,
     PrecisionConfig,
-    PrecisionError,
 )
 from .quad import _GK_X
 
@@ -265,17 +264,12 @@ def hardy_z_many(t, config: PrecisionConfig = DEFAULT_CONFIG) -> np.ndarray:
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     out = np.empty_like(ts)
     lo = ts < RS_CROSSOVER
-    if lo.any():
-        idx = np.nonzero(lo)[0]
+    for mask, kernel in ((lo, lambda b: _hardy_z_em_block(b, config)),
+                         (~lo, _hardy_z_rs_block)):
+        idx = np.nonzero(mask)[0]
         for i in range(0, len(idx), _BLOCK):
             blk = idx[i : i + _BLOCK]
-            out[blk] = _hardy_z_em_block(ts[blk], config)
-    hi = ~lo
-    if hi.any():
-        idx = np.nonzero(hi)[0]
-        for i in range(0, len(idx), _BLOCK):
-            blk = idx[i : i + _BLOCK]
-            out[blk] = _hardy_z_rs_block(ts[blk])
+            out[blk] = kernel(ts[blk])
     return out
 
 
@@ -288,11 +282,7 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
     tf = float(t)
     _as_height_array(tf)
     if tf >= RS_CROSSOVER:
-        bound = float(rs_error_bound(tf))
-        if bound > config.eval_tol:
-            raise PrecisionError(
-                f"Z({tf}) attainable only to {bound:.2e} > eval_tol", achievable=bound
-            )
+        config.check_eval(float(rs_error_bound(tf)), f"Z({tf})")
     return float(hardy_z_many(np.array([tf]), config)[0])
 
 
@@ -301,6 +291,7 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # ----------------------------------------------------------------------
 
 _BERNOULLI_RATIOS: tuple = ()  # grown on demand, replaced whole
+_EM_MAX_BERNOULLI = 500  # cap on the Bernoulli terms of one EM evaluation
 
 
 def _bernoulli_ratios(kmax: int) -> tuple:
@@ -459,23 +450,23 @@ def _zeta_em_block(
 ) -> np.ndarray:
     """EM for one block of points; cutoff set by the block's largest t."""
     N = config.em_cutoff(float(ts.max()) if len(ts) else 0.0)
-    return _em_remainder(_em_main_sum(sigmas, ts, N), sigmas + 1j * ts, N, config)
+    return _em_remainder(_em_main_sum(sigmas, ts, N), sigmas + 1j * ts, N)
 
 
-def _em_remainder(out: np.ndarray, s: np.ndarray, N: int, config: PrecisionConfig) -> np.ndarray:
+def _em_remainder(out: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
     """Add the EM remainder N^{1-s}/(s-1) + N^{-s}/2 and the Bernoulli tail
     to the main sums `out`, in place."""
     Nf = float(N)
     out += Nf ** (1.0 - s) / (s - 1.0) + 0.5 * Nf ** (-s)
     # Bernoulli tail; a one-point block runs it in Python complex scalars,
     # which cost far less per step than numpy calls on a length-1 array
-    ratios = _bernoulli_ratios(config.em_max_bernoulli)
+    ratios = _bernoulli_ratios(_EM_MAX_BERNOULLI)
     term = (1.0 / 12.0) * s * Nf ** (-s - 1.0)
     if len(s) == 1:
         out[0] = _bernoulli_tail(complex(out[0]), complex(s[0]), complex(term[0]),
-                                 Nf, ratios, config.em_max_bernoulli, abs)
+                                 Nf, ratios, _EM_MAX_BERNOULLI, abs)
         return out
-    return _bernoulli_tail(out, s, term, Nf, ratios, config.em_max_bernoulli,
+    return _bernoulli_tail(out, s, term, Nf, ratios, _EM_MAX_BERNOULLI,
                            lambda v: float(np.abs(v).max()))
 
 
@@ -509,9 +500,9 @@ def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CON
     s = complex(sigma, t)
     N = float(config.em_cutoff(t))
     term = abs((1.0 / 12.0) * s * N ** (-sigma - 1.0))
-    ratios = _bernoulli_ratios(config.em_max_bernoulli)
+    ratios = _bernoulli_ratios(_EM_MAX_BERNOULLI)
     k = 1
-    while k < config.em_max_bernoulli:
+    while k < _EM_MAX_BERNOULLI:
         nxt = term * abs(ratios[k]) * abs(s + (2 * k - 1)) * abs(s + 2 * k) / (N * N)
         if nxt >= term or nxt < 1e-18:
             term = nxt
@@ -539,17 +530,21 @@ def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
         raise DomainError("evaluations require sigma > 0")
     if s.imag < 0.0:
         return complex(np.conj(zeta(complex(s.real, -s.imag), config)))
-    bound = em_error_bound(s.real, s.imag, config)
     if s.real == 0.5 and s.imag >= RS_CROSSOVER:
-        z = hardy_z(s.imag, config)
-        return complex(z * np.exp(-1j * theta(s.imag)))
-    if bound > config.eval_tol:
-        raise PrecisionError(
-            f"zeta({s}) attainable only to {bound:.2e} > eval_tol", achievable=bound
-        )
-    return complex(
-        _zeta_em_block(np.array([s.real]), np.array([s.imag]), config)[0]
-    )
+        config.check_eval(float(rs_error_bound(s.imag)), f"Z({s.imag})")
+    else:
+        config.check_eval(em_error_bound(s.real, s.imag, config), f"zeta({s})")
+    return _zeta_point(s.real, s.imag, config)
+
+
+def _zeta_point(sigma: float, t: float, config: PrecisionConfig) -> complex:
+    """zeta(sigma+it) at one point, t >= 0, without the accuracy gate:
+    reassembled from Z on the critical line above the crossover,
+    Euler-Maclaurin elsewhere."""
+    if sigma == 0.5 and t >= RS_CROSSOVER:
+        z = float(hardy_z_many(np.array([t]), config)[0])
+        return z * complex(np.exp(-1j * theta(t)))
+    return complex(_zeta_em_block(np.array([sigma]), np.array([t]), config)[0])
 
 
 def zeta_abs2_line(
@@ -610,6 +605,6 @@ def zeta_abs2_panels(
                 for j in range(len(offsets)):
                     np.multiply(vr, ur[:, j, None], out=part)
                     acc[j] += part.sum(axis=0)
-        vals = _em_remainder(main.ravel(), sigma + 1j * ts.ravel(), N, config)
+        vals = _em_remainder(main.ravel(), sigma + 1j * ts.ravel(), N)
         out[i : i + step] = (np.abs(vals) ** 2).reshape(ts.shape).T
     return out

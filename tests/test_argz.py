@@ -215,7 +215,9 @@ class TestS1:
         ts = 20.0 + rng.random(40) * 980.0
         v0 = ev.value_many(ts)
         v1 = ev.value_many(ts + delta)
-        smax = np.max(np.abs(ev.s_value_many(ts))) + 1.0
+        # S(u) = N(u) - 1 - theta(u)/pi from the zero staircase
+        s = np.searchsorted(ev.zeros_in(0.0, ts.max()), ts) - 1.0 - theta(ts) / math.pi
+        smax = np.max(np.abs(s)) + 1.0
         assert np.all(np.abs(v1 - v0) <= (smax + 1.0) * delta)
 
     def test_higher_resolution_self_oracle(self):

@@ -117,6 +117,18 @@ class TestFunctionalApproximant:
         assert 0.4 <= v.value <= 1.8
         assert v.rel_err == abs(v.value - 1.0)
 
+    def test_windows_reuse_the_ladder_step(self):
+        # the call's two windows find its T^1 in the reverse_iterate memo
+        from zetalab import functionals, ladders
+
+        for memo in (ladders._reverse_iterate, functionals._crit_window,
+                     functionals._sigma_window):
+            memo.cache_clear()
+        K = substitution_constant("A", sigma=1.0)
+        functional_approximant("A", 1.0, 300.0 / K, sigma=1.0)
+        info = ladders._reverse_iterate.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
     def test_trace_fields(self):
         K = substitution_constant("A", sigma=1.0)
         v = functional_approximant("A", 2.0, 500.0 / (K * 2.0), sigma=1.0)

@@ -82,7 +82,7 @@ class TestReverseIterate:
             return z(t, config)
 
         monkeypatch.setattr(ladders, "hardy_z_many", counting_z)
-        monkeypatch.setattr(ladders, "_REVERSE_MEMO", {})
+        ladders._reverse_iterate.cache_clear()
         reverse_iterate(1e4)
         assert sum(points) <= 45_056
 

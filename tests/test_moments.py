@@ -221,6 +221,16 @@ class TestCbar:
         assert back.cbar == est.cbar and back.spread == est.spread
         assert cache.keys() == [est.cache_key]
 
+    def test_key_roundtrip_at_non_integer_heights(self, tmp_path):
+        # put (through cache_key) and get (from l, T, H) build one key
+        from zetalab.moments import CbarEstimate
+
+        cache = ConstantsCache(str(tmp_path / "c.json"))
+        est = CbarEstimate(l=2, T=1234.5678901234, H=98.76543210987, cbar=0.7, spread=0.01)
+        assert cache.put(est) == "cbar/l=2/T=1234.5678901234/H=98.76543210987"
+        assert cache.get(2, 1234.5678901234, 98.76543210987) == est
+        assert cache.keys() == [est.cache_key]
+
     def test_interrupted_put_keeps_old_file(self, tmp_path, monkeypatch):
         from zetalab import moments
 

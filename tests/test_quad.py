@@ -7,11 +7,13 @@ import pytest
 
 from zetalab import PrecisionError
 from zetalab.quad import (
+    _GK_X,
+    _nodes,
+    check_error,
     critical_panel_width,
     gauss_panels,
-    integrate_checked,
-    integrate_kronrod,
     integrate_panels,
+    kronrod_sums,
     panel_edges,
     sigma_panel_runs,
 )
@@ -45,7 +47,7 @@ def test_error_gate_raises():
     # oscillation far below the panel scale must trip the halving gate
     f = lambda x: np.cos(200.0 * x) ** 2 * np.exp(np.sin(37.0 * x))
     with pytest.raises(PrecisionError):
-        integrate_checked(f, 0.0, 1.0, width=0.5, order=2, rel_gate=1e-6)
+        check_error(*integrate_panels(f, 0.0, 1.0, width=0.5, order=2), rel_gate=1e-6)
 
 
 def test_panel_width_rule():
@@ -83,15 +85,21 @@ def test_gk21_literals_match_scipy(monkeypatch):
     assert not quad._GK_WG[0::2].any()
 
 
+def _kronrod(f, edges):
+    """GK21 of f over the panels between `edges`: (value, |K21 - G10|)."""
+    nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
+    return kronrod_sums(f(nodes.ravel()).reshape(nodes.shape), half)
+
+
 def test_kronrod_exactness_and_estimate():
     # K21 is exact to degree 31 and G10 to degree 19 on each panel
-    val, err = integrate_kronrod(lambda x: x ** 31, np.array([0.0, 2.0]))
+    val, err = _kronrod(lambda x: x ** 31, np.array([0.0, 2.0]))
     assert val == pytest.approx(2.0 ** 32 / 32.0, rel=1e-14)
     assert err > 1e-6 * val
-    val, err = integrate_kronrod(lambda x: x ** 19, np.array([0.0, 1.0, 2.0]))
+    val, err = _kronrod(lambda x: x ** 19, np.array([0.0, 1.0, 2.0]))
     assert val == pytest.approx(2.0 ** 20 / 20.0, rel=1e-14) and err <= 1e-10
     # the |K21 - G10| estimate covers the true error
-    val, err = integrate_kronrod(np.cos, panel_edges(0.0, 30.0, 3.0))
+    val, err = _kronrod(np.cos, panel_edges(0.0, 30.0, 3.0))
     assert abs(val - math.sin(30.0)) <= err
 
 

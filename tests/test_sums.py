@@ -15,6 +15,7 @@ from zetalab import (
     titchmarsh_sum,
     verify_asymptotic_trend,
 )
+from zetalab import sums
 from zetalab.sums import FOURTH_MAIN_CONSTANT, PAIR_MAIN_CONSTANT
 
 # Desk-scale ratios, frozen from this pipeline after oracle spot-checks
@@ -132,6 +133,13 @@ class TestSharedWindow:
         assert a.terms == b.terms == terms
         assert a.value == pair
         assert b.value == fourth
+
+    def test_one_memo_entry_serves_both_kinds(self):
+        sums._gram_window.cache_clear()
+        titchmarsh_sum(400.0, 800.0)
+        fourth_power_sum(400.0, 800.0)
+        info = sums._gram_window.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestTrend:

@@ -261,7 +261,9 @@ class TestLineKernel:
         args = ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "4,8"]
         outs = []
         for jobs in ("1", "2"):
-            monkeypatch.setattr(functionals, "_WINDOW_MEMO", {})
+            for memo in (functionals._crit_window, functionals._sigma_window,
+                         functionals._s1_window):
+                memo.cache_clear()
             monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
             out = tmp_path / f"jobs{jobs}.csv"
             code = main(args + ["--jobs", jobs, "--out", str(out),
