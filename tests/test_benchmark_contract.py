@@ -43,9 +43,8 @@ print(json.dumps({"not_plain": not_plain, "codes": codes, "report": tr.report()}
 
 def test_tracer_installs_and_its_hooks_see_live_calls(tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "perfbench")] + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
+    paths = [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(OPS)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
