@@ -13,10 +13,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from . import __version__
-from .argz import s_of_t, shared_s1_evaluator
+from . import __version__, verify
+from .argz import s_of_t
 from .config import (
     CacheMissError,
     DEFAULT_CONFIG,
@@ -28,7 +26,7 @@ from .config import (
 from .fermat import fermat_equivalence_check
 from .functionals import chain_compare, functional_approximant, substitution_constant
 from .gram import gram_csv_rows, gram_range
-from .ladders import ladder_chain, ladder_csv_rows, reverse_iterate
+from .ladders import ladder_chain, ladder_csv_rows
 from .manifest import RunManifest, write_csv
 from .moments import (
     CbarEstimate,
@@ -38,8 +36,8 @@ from .moments import (
     second_moment_critical,
     second_moment_sigma,
 )
-from .sums import fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
-from .zeta import EULER_GAMMA, hardy_z, theta, theta_deriv
+from .sums import fourth_power_sum, titchmarsh_sum
+from .zeta import hardy_z, theta, theta_deriv
 
 EXIT_OK = 0
 EXIT_FLAGS = 2
@@ -152,7 +150,9 @@ def _cache(args) -> ConstantsCache:
     return ConstantsCache()
 
 
-def _need_cbar(args, cache: ConstantsCache) -> CbarEstimate:
+def _need_cbar(args, cache: ConstantsCache, manifest: RunManifest) -> CbarEstimate:
+    if args.l is None:
+        raise DomainError("kind B requires --l")
     if args.cbar_T is None or args.cbar_H is None:
         raise CacheMissError("kind B requires --cbar-T and --cbar-H (run `cbar` first)")
     est = cache.get(args.l, args.cbar_T, args.cbar_H)
@@ -160,6 +160,7 @@ def _need_cbar(args, cache: ConstantsCache) -> CbarEstimate:
         raise CacheMissError(
             f"no cached cbar for l={args.l}, T={args.cbar_T}, H={args.cbar_H}; run `cbar` first"
         )
+    manifest.add_cbar_key(est.cache_key)
     return est
 
 
@@ -241,11 +242,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
     elif args.command == "functional":
         if args.kind in ("A", "C") and args.sigma is None:
             raise DomainError(f"kind {args.kind} requires --sigma")
-        if args.kind == "B" and args.l is None:
-            raise DomainError("kind B requires --l")
-        cbar = _need_cbar(args, cache) if args.kind == "B" else None
-        if cbar is not None:
-            manifest.add_cbar_key(cbar.cache_key)
+        cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
         K = substitution_constant(args.kind, sigma=args.sigma, cbar=cbar)
         manifest.add_constant(f"substitution_K_{args.kind}", K)
 
@@ -259,9 +256,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
               [r.csv_row() for r in results])
 
     elif args.command == "fermat":
-        if args.kind == "B" and args.l is None:
-            raise DomainError("kind B requires --l")
-        cbar = _need_cbar(args, cache) if args.kind == "B" else None
+        cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
         w = fermat_equivalence_check(
             args.x, args.y, args.z, args.n, kind=args.kind, sigma=args.sigma,
             l=args.l, cbar=cbar, tau_schedule=args.tau, config=config)
@@ -270,10 +265,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
               [w.csv_row()])
 
     elif args.command == "chain":
-        est = cache.get(args.l, args.cbar_T, args.cbar_H)
-        if est is None:
-            raise CacheMissError("no cached cbar for the chain comparison; run `cbar` first")
-        manifest.add_cbar_key(est.cache_key)
+        est = _need_cbar(args, cache, manifest)
         rep = chain_compare(args.x, args.sigma, args.l, args.tau, est, config)
         rows = [[k, f"{rep.values[k]:.15g}", f"{rep.rel_errs[k]:.15g}"] for k in ("A", "B", "C")]
         rows.append(["PASS" if rep.passed else "FAIL",
@@ -281,85 +273,25 @@ def _run(args, raw_argv: Sequence[str]) -> int:
         _emit(manifest, args, ["kind", "value", "rel_err"], rows)
 
     elif args.command == "verify":
-        rows = _verify_suite(args, config)
-        _emit(manifest, args, ["check", "status", "detail"], rows)
-        if any(r[1] == "FAIL" for r in rows):
+        checks = _verify_suite(args, config, cache)
+        _emit(manifest, args, ["check", "status", "detail"],
+              [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in checks])
+        if not all(ok for _, ok, _ in checks):
             return EXIT_COMPUTE
 
     return EXIT_OK
 
 
-def _verify_suite(args, config: PrecisionConfig) -> List[List[str]]:
-    rows: List[List[str]] = []
-
-    def add(check: str, ok: bool, detail: str) -> None:
-        rows.append([check, "PASS" if ok else "FAIL", detail])
-
+def _verify_suite(args, config: PrecisionConfig, cache: ConstantsCache) -> List[verify.Check]:
     if args.suite == "asymptotics":
-        for kind in ("pair", "fourth"):
-            rep = verify_asymptotic_trend(kind, args.heights, config)
-            for T, r in zip(rep.heights, rep.ratios):
-                add(f"{kind}-band-T={T:g}", 0.4 <= r <= 1.6, f"ratio={r:.4f}")
-            add(f"{kind}-trend", rep.passed,
-                "|r-1| non-increasing over top two heights: "
-                + ",".join(f"{abs(r-1):.4f}" for r in rep.ratios))
-
-    elif args.suite == "gram":
-        from .gram import gram_points
-        pts = gram_points(1, args.nu_max, config)
-        worst = max(p.residual for p in pts)
-        mono = all(b.t > a.t for a, b in zip(pts, pts[1:]))
-        add("gram-residuals", worst <= config.abs_tol, f"worst={worst:.3e}")
-        add("gram-monotone", mono, f"nu<={args.nu_max}")
-
-    elif args.suite == "branch":
-        rng = np.random.default_rng(args.seed)
-        hs = 10.0 + rng.random(args.n_heights) * (1e4 - 10.0)
-        ev = shared_s1_evaluator(config)
-        ev.ensure(float(hs.max()) + 1.0)
-        worst = 0.0
-        count_ok = True
-        for t in hs:
-            tr = s_of_t(float(t), config)
-            worst = max(worst, tr.branch_residual)
-            if tr.zero_count != ev.zeros_cache.count_below(float(t)):
-                count_ok = False
-        add("branch-integrality", worst <= 1e-8, f"worst residual={worst:.3e}")
-        add("branch-count-vs-signchanges", count_ok, f"{args.n_heights} heights")
-
-    elif args.suite == "ladder":
-        for T in args.heights:
-            if T < 100.0:
-                continue
-            U = reverse_iterate(T, config)
-            got = second_moment_critical(T, U, config).value
-            target = (1.0 - EULER_GAMMA) * T
-            gap_pred = target / math.log(T)
-            add(f"ladder-residual-T={T:g}", abs(got - target) <= 1e-6 * T,
-                f"resid={abs(got - target):.3e}")
-            add(f"ladder-gap-T={T:g}", 0.8 <= (U - T) / gap_pred <= 1.2,
-                f"gap/pred={(U - T) / gap_pred:.4f}")
-
-    elif args.suite == "quotients":
-        from scipy.special import zeta as real_zeta
-
-        from .functionals import quotient_s1, quotient_zeta
-        from .moments import estimate_cbar
-
-        for T in args.heights:
-            if T < 100.0:
-                continue
-            qz = quotient_zeta(1.0, T, config)
-            check = qz * float(real_zeta(2.0)) / math.log(T)
-            add(f"quotient-zeta-T={T:g}", 0.85 <= check <= 1.15,
-                f"normalized={check:.4f}")
-            est = estimate_cbar(1, T, max(T ** 0.6, T / 10.0), config, cache=_cache(args))
-            qs = quotient_s1(1, T, config)
-            s_check = qs * est.cbar / math.log(T)
-            add(f"quotient-s1-T={T:g}", 0.7 <= s_check <= 1.3,
-                f"normalized={s_check:.4f} cbar={est.cbar:.4f}")
-
-    return rows
+        return verify.asymptotics(args.heights, config)
+    if args.suite == "gram":
+        return verify.gram(args.nu_max, config)
+    if args.suite == "branch":
+        return verify.branch(args.n_heights, args.seed, config)
+    if args.suite == "ladder":
+        return verify.ladder(args.heights, config)
+    return verify.quotients(args.heights, config, cache)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

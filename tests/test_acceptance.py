@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import zetalab as zl
+from zetalab import verify
 from zetalab.cli import main as cli_main
-
-ZETA2 = math.pi ** 2 / 6.0
 
 
 def report(num: int, name: str, ok: bool, detail: str, t0: float, budget_s: float):
@@ -27,9 +26,11 @@ def report(num: int, name: str, ok: bool, detail: str, t0: float, budget_s: floa
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def cbar_1e4():
-    return zl.estimate_cbar(1, 1e4, 1e3)
+def checked(checks):
+    """(all passed, one detail line) for zetalab.verify checks."""
+    return (all(ok for _, ok, _ in checks),
+            "; ".join(f"{name} {'PASS' if ok else 'FAIL'} {detail}"
+                      for name, ok, detail in checks))
 
 
 @pytest.fixture(scope="module")
@@ -49,79 +50,37 @@ def functional_runs():
 
 def test_criterion_01_gram_fidelity():
     t0 = time.monotonic()
-    pts = zl.gram_points(1, 100000)
-    worst = max(p.residual for p in pts)
-    ts = np.array([p.t for p in pts])
-    mono = bool(np.all(np.diff(ts) > 0))
+    ok, detail = checked(verify.gram(100000))
     count = zl.gram_range(1e4, 2e4).count
     expected = (zl.theta(2e4) - zl.theta(1e4)) / math.pi
     count_ok = abs(count / expected - 1.0) <= 0.005
-    ok = worst <= 1e-10 and mono and count_ok
-    report(1, "gram-fidelity", ok,
-           f"max residual {worst:.2e}, monotone {mono}, count {count} vs {expected:.1f}",
-           t0, 120.0)
+    report(1, "gram-fidelity", ok and count_ok,
+           f"{detail}; count {count} vs {expected:.1f}", t0, 120.0)
 
 
 def test_criterion_02_branch_integrity():
     t0 = time.monotonic()
-    rng = np.random.default_rng(20260809)
-    heights = 10.0 + rng.random(100) * (1e4 - 10.0)
-    ev = zl.shared_s1_evaluator()
-    ev.ensure(float(heights.max()) + 1.0)
-    worst = 0.0
-    mismatches = 0
-    for t in heights:
-        tr = zl.s_of_t(float(t))
-        worst = max(worst, tr.branch_residual)
-        if tr.zero_count != ev.zeros_cache.count_below(float(t)):
-            mismatches += 1
-    ok = worst <= 1e-8 and mismatches == 0
-    report(2, "branch-integrity", ok,
-           f"worst residual {worst:.2e}, count mismatches {mismatches}/100",
-           t0, 300.0)
+    ok, detail = checked(verify.branch(100, 20260809))
+    report(2, "branch-integrity", ok, detail, t0, 300.0)
 
 
 def test_criterion_03_titchmarsh_asymptotic():
     t0 = time.monotonic()
-    heights = [1e3, 5e3, 2e4]
-    rep = zl.verify_asymptotic_trend("pair", heights)
-    band_ok = all(0.4 <= r <= 1.6 for r in rep.ratios)
-    devs = [abs(r - 1.0) for r in rep.ratios]
-    trend_ok = devs[-1] <= devs[-2]
-    ok = band_ok and trend_ok
-    report(3, "titchmarsh-asymptotic", ok,
-           "ratios " + ",".join(f"{r:.4f}" for r in rep.ratios)
-           + f"; band {band_ok}, |r-1| non-increasing {trend_ok}",
-           t0, 600.0)
+    checks = verify.asymptotics([1e3, 5e3, 2e4])
+    ok, detail = checked([c for c in checks if c[0].startswith("pair-")])
+    report(3, "titchmarsh-asymptotic", ok, detail, t0, 600.0)
 
 
 def test_criterion_04_fourth_power_asymptotic():
     t0 = time.monotonic()
-    heights = [1e3, 5e3, 2e4]
-    rep = zl.verify_asymptotic_trend("fourth", heights)
-    band_ok = all(0.4 <= r <= 1.6 for r in rep.ratios)
-    devs = [abs(r - 1.0) for r in rep.ratios]
-    trend_ok = devs[-1] <= devs[-2]
-    ok = band_ok and trend_ok
-    report(4, "fourth-power-asymptotic", ok,
-           "ratios " + ",".join(f"{r:.4f}" for r in rep.ratios)
-           + f"; band {band_ok}, |r-1| non-increasing {trend_ok}",
-           t0, 600.0)
+    checks = verify.asymptotics([1e3, 5e3, 2e4])
+    ok, detail = checked([c for c in checks if c[0].startswith("fourth-")])
+    report(4, "fourth-power-asymptotic", ok, detail, t0, 600.0)
 
 
 def test_criterion_05_ladder_defining_equation():
     t0 = time.monotonic()
-    details = []
-    ok = True
-    for T in (1e3, 1e4):
-        U = zl.reverse_iterate(T)
-        got = zl.second_moment_critical(T, U).value
-        target = (1.0 - zl.EULER_GAMMA) * T
-        resid_ok = abs(got - target) <= 1e-6 * T
-        gap_ratio = (U - T) / (target / math.log(T))
-        gap_ok = 0.8 <= gap_ratio <= 1.2
-        ok = ok and resid_ok and gap_ok
-        details.append(f"T={T:g}: resid {abs(got - target):.2e}, gap/pred {gap_ratio:.3f}")
+    ok, detail = checked(verify.ladder([1e3, 1e4]))
     chain = zl.ladder_chain(1e4, 4)
     hs = chain.heights()
     gaps = [b - a for a, b in zip(hs, hs[1:])]
@@ -132,27 +91,15 @@ def test_criterion_05_ladder_defining_equation():
     prep = zl.partition_report(chain)
     ratios_ok = all(0.9 <= g <= 1.1 for g in prep.gap_ratios)
     ok = ok and telescope_ok and partition_ok and ratios_ok
-    details.append(
-        f"telescope {telescope_ok}, partition {partition_ok}, gap_ratios "
-        + ",".join(f"{g:.3f}" for g in prep.gap_ratios)
-    )
-    report(5, "ladder-defining-equation", ok, "; ".join(details), t0, 300.0)
+    detail += (f"; telescope {telescope_ok}, partition {partition_ok}, gap_ratios "
+               + ",".join(f"{g:.3f}" for g in prep.gap_ratios))
+    report(5, "ladder-defining-equation", ok, detail, t0, 300.0)
 
 
-def test_criterion_06_quotient_formulas(cbar_1e4):
+def test_criterion_06_quotient_formulas():
     t0 = time.monotonic()
-    qz = zl.quotient_zeta(1.0, 1e4)
-    zcheck = qz * ZETA2 / math.log(1e4)
-    z_ok = 0.85 <= zcheck <= 1.15
-    qs = zl.quotient_s1(1, 1e4)
-    scheck = qs * cbar_1e4.cbar / math.log(1e4)
-    s_ok = 0.7 <= scheck <= 1.3
-    ok = z_ok and s_ok
-    report(6, "quotient-formulas", ok,
-           f"zeta-quotient check {zcheck:.4f} in [0.85,1.15]; "
-           f"S1-quotient check {scheck:.4f} in [0.7,1.3] (cbar {cbar_1e4.cbar:.4f} "
-           f"spread {cbar_1e4.spread:.4f})",
-           t0, 1200.0)
+    ok, detail = checked(verify.quotients([1e4]))
+    report(6, "quotient-formulas", ok, detail, t0, 1200.0)
 
 
 def test_criterion_07_scaling_identity():

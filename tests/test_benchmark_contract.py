@@ -5,7 +5,10 @@ the call arguments of the ones it hooks (tracer.HOOKS), by name and by
 signature.  It refuses to install when a hooked name is no longer a plain
 function, which is what a memo decorator such as functools.lru_cache
 leaves behind.  Installing it patches the package in place, so it runs in
-a fresh interpreter here, with two small traced ops.
+a fresh interpreter here, with three small traced ops.  The verify op
+fails its bands by design (exit 3); it shows that zetalab.verify, which
+the tracer does not wrap, still reaches the package through the module
+attributes that the tracer patches.
 """
 
 import json
@@ -19,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OPS = [
     ["ladder", "--T", "200", "--k", "1"],
     ["moments", "--kind", "critical2", "--from", "100", "--to", "110", "--out", "m.csv"],
+    ["verify", "--suite", "asymptotics", "--heights", "1e3,2e3,4e3"],
 ]
 
 CHILD = r"""
@@ -50,13 +54,14 @@ def test_tracer_installs_and_its_hooks_see_live_calls(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["not_plain"] == []
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 3]
     report = out["report"]
     for name in ("cli.main", "ladders.reverse_iterate", "quad.gauss_panels",
                  "zeta.hardy_z_many", "moments.second_moment_critical",
                  "quad.integrate_panels", "manifest.write_csv"):
         assert report.get(name + ".calls", 0) >= 1, name
     assert report["moments.second_moment_critical.calls"] == 2
+    assert report.get("sums.verify_asymptotic_trend.calls", 0) == 2
     for count in ("ladders.reverse_iterate.bracket_tries", "zeta.hardy_z_many.points",
                   "quad.integrate_panels.panels", "manifest.write_csv.bytes", "cli.cpu_s"):
         assert report.get(count, 0) > 0, count

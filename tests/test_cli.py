@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from zetalab.cli import main
 
 
@@ -111,6 +113,28 @@ class TestCbarAndChain:
         # run or the domain rejection, but never a crash
         assert code in (0, 2)
 
+    def test_fermat_b_records_its_cbar_key(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_cli(["cbar", "--l", "1", "--T", "2000", "--H", "200", "--cache-dir", cache_dir],
+                tmp_path, "cbar.csv")
+        code, _, manifest = run_cli(
+            ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--kind", "B",
+             "--l", "1", "--cbar-T", "2000", "--cbar-H", "200", "--cache-dir", cache_dir],
+            tmp_path, "fermat.csv",
+        )
+        assert code == 0
+        rec = json.loads(manifest.read_text().splitlines()[-1])
+        assert rec["cbar_keys"] == ["cbar/l=1/T=2000/H=200"]
+
+    def test_chain_without_cached_cbar_is_2(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["chain", "--x", "1", "--tau", "1", "--cbar-T", "2000", "--cbar-H", "200",
+             "--cache-dir", str(tmp_path / "empty")],
+            tmp_path,
+        )
+        assert code == 2 and not out.exists()
+        assert "no cached cbar for l=1, T=2000.0, H=200.0" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_ladder_suite(self, tmp_path):
@@ -120,6 +144,32 @@ class TestVerifyCommand:
         assert code == 0
         text = out.read_text()
         assert "ladder-residual-T=1000" in text and "PASS" in text
+
+    def test_failing_suite_is_3(self, tmp_path):
+        code, out, _ = run_cli(
+            ["verify", "--suite", "asymptotics", "--heights", "1e3,5e3,2e4"], tmp_path
+        )
+        assert code == 3
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [
+            ["pair-band-T=1000", "PASS"], ["pair-band-T=5000", "PASS"],
+            ["pair-band-T=20000", "PASS"], ["pair-trend", "FAIL"],
+            ["fourth-band-T=1000", "FAIL"], ["fourth-band-T=5000", "FAIL"],
+            ["fourth-band-T=20000", "FAIL"], ["fourth-trend", "PASS"],
+        ]
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_branch_without_heights_is_2(self, tmp_path, n):
+        code, out, _ = run_cli(["verify", "--suite", "branch", "--n-heights", n], tmp_path)
+        assert code == 2 and not out.exists()
+
+    @pytest.mark.parametrize("suite", ["ladder", "quotients"])
+    def test_height_below_100_is_2_not_skipped(self, tmp_path, suite):
+        code, out, _ = run_cli(
+            ["verify", "--suite", suite, "--heights", "1000,50",
+             "--cache-dir", str(tmp_path / "cache")], tmp_path
+        )
+        assert code == 2 and not out.exists()
 
 
 class TestManifest:
