@@ -27,7 +27,7 @@ from .config import (
     PrecisionConfig,
     TrackingError,
 )
-from .quad import _gl, _nodes, gauss_panels
+from .quad import panel_sums
 from .zeta import (
     RS_CROSSOVER,
     TWO_PI,
@@ -311,10 +311,8 @@ class S1Evaluator:
                 return tables
             zeros = self.zeros_cache.ensure(t_max)
             hi = self.zeros_cache.t_max
-            n = int(math.ceil(hi / self._THETA_PANEL))
-            edges = np.linspace(0.0, hi, n + 1)
-            nodes, weights = gauss_panels(0.0, hi, width=hi / n, order=self._THETA_ORDER)
-            per = (theta(nodes) * weights).reshape(n, self._THETA_ORDER).sum(axis=1)
+            edges = np.linspace(0.0, hi, int(math.ceil(hi / self._THETA_PANEL)) + 1)
+            per = panel_sums(theta, edges[:-1], edges[1:], self._THETA_ORDER)
             tables = _S1Tables(
                 t_max=hi,
                 zeros=zeros,
@@ -327,11 +325,7 @@ class S1Evaluator:
 
     def _theta_integral(self, tab: _S1Tables, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(tab.edges, t, side="right") - 1, 0, len(tab.edges) - 2)
-        out = tab.theta_prefix[i].copy()
-        x, w = _gl(self._THETA_ORDER)
-        nodes, half = _nodes(tab.edges[i], t, x)
-        out += (theta(nodes.ravel()).reshape(nodes.shape) * w[None, :]).sum(axis=1) * half
-        return out
+        return tab.theta_prefix[i] + panel_sums(theta, tab.edges[i], t, self._THETA_ORDER)
 
     def value_many(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -11,7 +11,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 from . import __version__, verify
 from .argz import s_of_t
@@ -25,9 +25,9 @@ from .config import (
 )
 from .fermat import fermat_equivalence_check
 from .functionals import chain_compare, functional_approximant, substitution_constant
-from .gram import gram_csv_rows, gram_range
-from .ladders import ladder_chain, ladder_csv_rows
-from .manifest import RunManifest, write_csv
+from .gram import gram_range
+from .ladders import ladder_chain
+from .manifest import RunManifest, csv_cells, write_csv
 from .moments import (
     CbarEstimate,
     ConstantsCache,
@@ -164,7 +164,11 @@ def _need_cbar(args, cache: ConstantsCache, manifest: RunManifest) -> CbarEstima
     return est
 
 
-def _emit(manifest: RunManifest, args, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _emit(manifest: RunManifest, args, header: Sequence[str],
+          rows: Iterable[Sequence[Any]]) -> None:
+    """Print the rows' CSV cells, write them under `header` to --out, and
+    append the manifest."""
+    rows = csv_cells(rows)
     for row in rows:
         print(",".join(row))
     if args.out:
@@ -187,24 +191,22 @@ def _run(args, raw_argv: Sequence[str]) -> int:
     cache = _cache(args)
 
     if args.command == "theta":
-        rows = [[f"{t:.15g}", f"{theta(t):.15g}",
-                 f"{theta_deriv(t):.15g}" if t > 2 * math.pi else ""] for t in args.t]
-        _emit(manifest, args, ["t", "theta", "theta_deriv"], rows)
+        _emit(manifest, args, ["t", "theta", "theta_deriv"],
+              [(t, theta(t), theta_deriv(t) if t > 2 * math.pi else None) for t in args.t])
 
     elif args.command == "z":
         vals = _pmap(args.jobs, lambda t: hardy_z(t, config), args.t)
-        rows = [[f"{t:.15g}", f"{v:.15g}"] for t, v in zip(args.t, vals)]
-        _emit(manifest, args, ["t", "Z"], rows)
+        _emit(manifest, args, ["t", "Z"], zip(args.t, vals))
 
     elif args.command == "s":
         traces = _pmap(args.jobs, lambda t: s_of_t(t, config), args.t)
-        rows = [[f"{tr.t:.15g}", f"{tr.s_value:.15g}", str(tr.zero_count),
-                 f"{tr.branch_residual:.15g}"] for tr in traces]
-        _emit(manifest, args, ["t", "S", "zero_count", "branch_residual"], rows)
+        _emit(manifest, args, ["t", "S", "zero_count", "branch_residual"],
+              [(tr.t, tr.s_value, tr.zero_count, tr.branch_residual) for tr in traces])
 
     elif args.command == "gram":
         rng = gram_range(args.t_lo, args.t_hi, config)
-        _emit(manifest, args, ["nu", "t", "residual"], gram_csv_rows(rng.points))
+        _emit(manifest, args, ["nu", "t", "residual"],
+              [(p.nu, p.t, p.residual) for p in rng.points])
 
     elif args.command == "moments":
         if args.kind == "critical2":
@@ -219,25 +221,27 @@ def _run(args, raw_argv: Sequence[str]) -> int:
             est = s1_moment(args.l, args.t_lo, args.t_hi, config)
         _emit(manifest, args,
               ["kind", "param", "t_lo", "t_hi", "value", "per_unit", "quad_error"],
-              [est.csv_row()])
+              [(est.kind, est.param, est.t_lo, est.t_hi, est.value, est.per_unit,
+                est.quad_error)])
 
     elif args.command == "cbar":
         est = estimate_cbar(args.l, args.T, args.H, config, cache=cache)
         manifest.add_cbar_key(est.cache_key)
         _emit(manifest, args, ["l", "T", "H", "cbar", "spread"],
-              [[str(est.l), f"{est.T:.15g}", f"{est.H:.15g}",
-                f"{est.cbar:.15g}", f"{est.spread:.15g}"]])
+              [(est.l, est.T, est.H, est.cbar, est.spread)])
 
     elif args.command == "ladder":
         chain = ladder_chain(args.T, args.k, config)
+        hs = chain.heights()
         _emit(manifest, args, ["r", "T_r", "gap", "slice_integral", "residual"],
-              ladder_csv_rows(chain))
+              [(r, u, u - t, got, resid) for r, (t, u, got, resid)
+               in enumerate(zip(hs, hs[1:], chain.slices, chain.residuals), 1)])
 
     elif args.command == "sum":
         res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(
             args.t_lo, args.t_hi, config)
         _emit(manifest, args, ["kind", "T", "terms", "value", "main_term", "ratio"],
-              [res.csv_row()])
+              [(res.kind, res.t_lo, res.terms, res.value, res.main_term, res.ratio)])
 
     elif args.command == "functional":
         if args.kind in ("A", "C") and args.sigma is None:
@@ -253,7 +257,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
 
         results = _pmap(args.jobs, one, args.tau)
         _emit(manifest, args, ["kind", "x", "param", "tau", "T", "value", "rel_err"],
-              [r.csv_row() for r in results])
+              [(r.kind, r.x, r.param, r.tau, r.T, r.value, r.rel_err) for r in results])
 
     elif args.command == "fermat":
         cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
@@ -262,20 +266,20 @@ def _run(args, raw_argv: Sequence[str]) -> int:
             l=args.l, cbar=cbar, tau_schedule=args.tau, config=config)
         _emit(manifest, args,
               ["x", "y", "z", "n", "numerator", "denominator", "is_one", "verdict"],
-              [w.csv_row()])
+              [(w.x, w.y, w.z, w.n, w.numerator, w.denominator, w.is_one_exact,
+                w.verdict)])
 
     elif args.command == "chain":
         est = _need_cbar(args, cache, manifest)
         rep = chain_compare(args.x, args.sigma, args.l, args.tau, est, config)
-        rows = [[k, f"{rep.values[k]:.15g}", f"{rep.rel_errs[k]:.15g}"] for k in ("A", "B", "C")]
-        rows.append(["PASS" if rep.passed else "FAIL",
-                     f"{rep.implied_T:.15g}", f"{rep.x:.15g}"])
+        rows = [(k, rep.values[k], rep.rel_errs[k]) for k in ("A", "B", "C")]
+        rows.append(("PASS" if rep.passed else "FAIL", rep.implied_T, rep.x))
         _emit(manifest, args, ["kind", "value", "rel_err"], rows)
 
     elif args.command == "verify":
         checks = _verify_suite(args, config, cache)
         _emit(manifest, args, ["check", "status", "detail"],
-              [[name, "PASS" if ok else "FAIL", detail] for name, ok, detail in checks])
+              [(name, "PASS" if ok else "FAIL", detail) for name, ok, detail in checks])
         if not all(ok for _, ok, _ in checks):
             return EXIT_COMPUTE
 

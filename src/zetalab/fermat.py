@@ -36,13 +36,6 @@ class FermatWitness:
     def rational(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def csv_row(self) -> List[str]:
-        return [
-            str(self.x), str(self.y), str(self.z), str(self.n),
-            str(self.numerator), str(self.denominator),
-            str(self.is_one_exact).lower(), self.verdict,
-        ]
-
 
 def _check_inputs(x: int, y: int, z: int, n: int) -> None:
     for name, v in (("x", x), ("y", y), ("z", z)):

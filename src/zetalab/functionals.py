@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from scipy.special import zeta as real_zeta
 
@@ -43,17 +43,6 @@ class FunctionalApproximant:
     target: float
     rel_err: float
     cbar_key: Optional[str] = None
-
-    def csv_row(self) -> List[str]:
-        return [
-            self.kind,
-            f"{self.x:.15g}",
-            f"{self.param:.15g}",
-            f"{self.tau:.15g}",
-            f"{self.T:.15g}",
-            f"{self.value:.15g}",
-            f"{self.rel_err:.15g}",
-        ]
 
 
 @dataclass(frozen=True)
@@ -149,15 +138,11 @@ def functional_approximant(
     U = reverse_iterate(T, config)
     den = _crit_window(T, config)
     if kind in ("A", "C"):
-        if sigma is None:
-            raise DomainError(f"kind {kind} requires sigma")
         num = _sigma_window(sigma, T, config)
         param = float(sigma)
     else:
         if l is None:
             raise DomainError("kind B requires l")
-        if cbar is None:
-            raise CacheMissError("kind B requires a cached CbarEstimate")
         if l != cbar.l:
             raise DomainError("cbar estimate was fitted for a different l")
         num = _s1_window(l, T, config)
@@ -178,7 +163,7 @@ def functional_approximant(
         value=float(value),
         target=float(x),
         rel_err=abs(value / x - 1.0),
-        cbar_key=cbar.cache_key if (kind == "B" and cbar is not None) else None,
+        cbar_key=cbar.cache_key if kind == "B" else None,
     )
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import lambertw
@@ -122,8 +122,3 @@ def gram_count_estimate(T: float) -> float:
     if not T > math.e:
         raise DomainError("gram_count_estimate requires T > e")
     return T * math.log(T) / TWO_PI
-
-
-def gram_csv_rows(points: Sequence[GramPoint]) -> List[List[str]]:
-    """`nu,t,residual` rows at 15 significant digits."""
-    return [[str(p.nu), f"{p.t:.15g}", f"{p.residual:.15g}"] for p in points]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
-from .quad import _gl, critical_panel_width, gauss_panels
+from .quad import critical_panel_width, gauss_panels, panel_sums
 from .zeta import _BLOCK, EULER_GAMMA, hardy_z_many
 
 
@@ -45,17 +45,6 @@ class PartitionReport:
     gap_ratios: List[float]  # (T^{r+1}-T^r) / (T^r - T^{r-1})
     integral_ratios: List[float]  # consecutive slice second moments
     gap_prediction_ratios: List[float]  # gap / ((1-c) T^{r-1} / ln T^{r-1})
-
-
-def _partial_panel(a: float, u: float, config: PrecisionConfig) -> float:
-    """integral of Z^2 over [a, u] inside one panel (single GL16)."""
-    if u <= a:
-        return 0.0
-    x, w = _gl(16)
-    mid = 0.5 * (a + u)
-    half = 0.5 * (u - a)
-    z = hardy_z_many(mid + half * x, config)
-    return float(np.sum(z * z * w) * half)
 
 
 def _bracket(T: float, target: float, config: PrecisionConfig) -> Tuple[float, float, float]:
@@ -108,8 +97,13 @@ def _reverse_iterate(T: float, config: PrecisionConfig) -> float:
     target = (1.0 - EULER_GAMMA) * T
     base, a, b = _bracket(T, target, config)
 
+    def z2(ts: np.ndarray) -> np.ndarray:
+        z = hardy_z_many(ts, config)
+        return z * z
+
     def g(u: float) -> float:
-        return base + _partial_panel(a, u, config) - target
+        # [a, u] lies inside one GL8 panel of the bracket, so one GL16 panel covers it
+        return base + float(panel_sums(z2, np.array([a]), np.array([u]), 16)[0]) - target
 
     lo_, hi_ = a, b
     u = 0.5 * (a + b)
@@ -179,21 +173,3 @@ def partition_report(chain: LadderChain) -> PartitionReport:
         integral_ratios=integral_ratios,
         gap_prediction_ratios=gap_prediction_ratios,
     )
-
-
-def ladder_csv_rows(chain: LadderChain) -> List[List[str]]:
-    """`r,T_r,gap,slice_integral,residual` rows."""
-    rows = []
-    hs = chain.heights()
-    for r in range(1, len(hs)):
-        gap = hs[r] - hs[r - 1]
-        rows.append(
-            [
-                str(r),
-                f"{hs[r]:.15g}",
-                f"{gap:.15g}",
-                f"{chain.slices[r - 1]:.15g}",
-                f"{chain.residuals[r - 1]:.15g}",
-            ]
-        )
-    return rows

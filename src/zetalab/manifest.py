@@ -13,15 +13,32 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .config import PrecisionConfig
 
 CSV_ENCODING = "utf-8"
 
 
+def _cell(v: Any) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return f"{v:.15g}"
+    return str(v)
+
+
+def csv_cells(rows: Iterable[Sequence[Any]]) -> List[List[str]]:
+    """The one CSV cell format: floats (np.float64 included) at 15
+    significant digits, None as an empty cell, bools in lower case,
+    anything else through str."""
+    return [[_cell(v) for v in row] for row in rows]
+
+
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """UTF-8, LF, header row, 15 significant digits; returns sha256."""
+    """UTF-8, LF, header row, cells from `csv_cells`; returns sha256."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     payload = ("\n".join(lines) + "\n").encode(CSV_ENCODING)

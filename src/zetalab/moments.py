@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .argz import S1Evaluator, shared_s1_evaluator
+from .argz import shared_s1_evaluator
 from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
 from .quad import (
     _integrate_halving, check_error, critical_panel_width, integrate_panels, kronrod_sums,
@@ -39,17 +39,6 @@ class MomentEstimate:
     value: float
     per_unit: float
     quad_error: float
-
-    def csv_row(self) -> List[str]:
-        return [
-            self.kind,
-            "" if self.param is None else f"{self.param:.15g}",
-            f"{self.t_lo:.15g}",
-            f"{self.t_hi:.15g}",
-            f"{self.value:.15g}",
-            f"{self.per_unit:.15g}",
-            f"{self.quad_error:.15g}",
-        ]
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,6 @@ def s1_moment(
     t_lo: float,
     t_hi: float,
     config: PrecisionConfig = DEFAULT_CONFIG,
-    evaluator: Optional[S1Evaluator] = None,
 ) -> MomentEstimate:
     """integral of |S1(t)|^{2l} over [t_lo, t_hi].
 
@@ -150,7 +138,7 @@ def s1_moment(
         raise DomainError("need 0 <= t_lo <= t_hi")
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "s1moment", float(l), 0.0, 0.0)
-    ev = evaluator if evaluator is not None else shared_s1_evaluator(config)
+    ev = shared_s1_evaluator(config)
     ev.ensure(t_hi)
     knots = ev.zeros_in(t_lo, t_hi)
     edges = np.concatenate([[t_lo], knots, [t_hi]])
@@ -191,12 +179,11 @@ def estimate_cbar(
         raise DomainError(
             f"window constraint violated: need T^{CBAR_WINDOW_EXPONENT} <= H <= T"
         )
-    ev = shared_s1_evaluator(config)
-    full = s1_moment(l, T, T + H, config, evaluator=ev)
+    full = s1_moment(l, T, T + H, config)
     cbar = full.value / H
     subs = []
     for j in range(4):
-        sub = s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0, config, evaluator=ev)
+        sub = s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0, config)
         subs.append(sub.value / (H / 4.0))
     spread = max(abs(c - cbar) for c in subs)
     est = CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))

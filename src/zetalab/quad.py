@@ -83,20 +83,25 @@ def gauss_panels(
     return nodes.ravel(), (half[:, None] * w[None, :]).ravel()
 
 
+def panel_sums(
+    f: Callable[[np.ndarray], np.ndarray], e0: np.ndarray, e1: np.ndarray, order: int
+) -> np.ndarray:
+    """GL(order) integrals of f over the panels [e0, e1], one per panel.
+    f gets the nodes as one flat array.  The weighted sums are fixed-order
+    numpy reductions, not BLAS, as in `kronrod_sums`."""
+    x, w = _gl(order)
+    nodes, half = _nodes(e0, e1, x)
+    return (f(nodes.ravel()).reshape(nodes.shape) * w).sum(axis=1) * half
+
+
 def _integrate_halving(
     f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int
 ) -> Tuple[float, float]:
     """GL(order) on each panel and on its two halves: the fsum of the
     halves' sums, and the fsum of |halves - whole| as the error."""
-    x, w = _gl(order)
-
-    def panel_sums(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
-        nodes, half = _nodes(e0, e1, x)
-        return f(nodes.ravel()).reshape(nodes.shape) @ w * half
-
-    coarse = panel_sums(edges[:-1], edges[1:])
+    coarse = panel_sums(f, edges[:-1], edges[1:], order)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    fine = panel_sums(edges[:-1], mids) + panel_sums(mids, edges[1:])
+    fine = panel_sums(f, edges[:-1], mids, order) + panel_sums(f, mids, edges[1:], order)
     return math.fsum(fine.tolist()), math.fsum(np.abs(fine - coarse).tolist())
 
 

@@ -34,16 +34,6 @@ class SumResult:
     main_term: Optional[float]
     ratio: Optional[float]
 
-    def csv_row(self) -> List[str]:
-        return [
-            self.kind,
-            f"{self.t_lo:.15g}",
-            str(self.terms),
-            f"{self.value:.15g}",
-            "" if self.main_term is None else f"{self.main_term:.15g}",
-            "" if self.ratio is None else f"{self.ratio:.15g}",
-        ]
-
 
 @dataclass(frozen=True)
 class TrendReport:

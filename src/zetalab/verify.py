@@ -57,6 +57,8 @@ def branch(n_heights: int, seed: int, config: PrecisionConfig = DEFAULT_CONFIG) 
 
 def ladder(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -> List[Check]:
     """Each step T -> U meets its defining equation to 1e-6*T, gap/pred in [0.8, 1.2]."""
+    if len(heights) == 0:
+        raise DomainError("the ladder suite needs at least one height")
     checks = []
     for T in heights:
         U = ladders.reverse_iterate(T, config)
@@ -73,6 +75,8 @@ def ladder(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -
 def quotients(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG,
               cache: Optional[moments.ConstantsCache] = None) -> List[Check]:
     """The zeta and S1 quotients over ln T, in [0.85, 1.15] and [0.7, 1.3]."""
+    if len(heights) == 0:
+        raise DomainError("the quotients suite needs at least one height")
     checks = []
     for T in heights:
         qz = functionals.quotient_zeta(1.0, T, config)

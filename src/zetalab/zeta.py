@@ -290,23 +290,14 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
 # Euler-Maclaurin zeta
 # ----------------------------------------------------------------------
 
-_BERNOULLI_RATIOS: tuple = ()  # grown on demand, replaced whole
 _EM_MAX_BERNOULLI = 500  # cap on the Bernoulli terms of one EM evaluation
 
-
-def _bernoulli_ratios(kmax: int) -> tuple:
-    """r[k] = (B_{2k+2}/(2k+2)!) / (B_{2k}/(2k)!) for 1 <= k <= kmax.
-
-    Built from one vectorised zeta(2k) call (bit-identical to the scalar
-    values) and published in a single assignment; r[0] is unused.
-    """
-    global _BERNOULLI_RATIOS
-    table = _BERNOULLI_RATIOS
-    if len(table) <= kmax:
-        z = real_zeta(2.0 * np.arange(1, max(kmax, 1000) + 2))
-        table = (math.nan,) + tuple((-(z[1:] / z[:-1]) / TWO_PI ** 2).tolist())
-        _BERNOULLI_RATIOS = table
-    return table
+# r[k] = (B_{2k+2}/(2k+2)!) / (B_{2k}/(2k)!) for 1 <= k <= _EM_MAX_BERNOULLI,
+# from one vectorised zeta(2k) call (bit-identical to the scalar values);
+# r[0] is unused
+_z2k = real_zeta(2.0 * np.arange(1, _EM_MAX_BERNOULLI + 2))
+_BERNOULLI_RATIOS = (math.nan,) + tuple((-(_z2k[1:] / _z2k[:-1]) / TWO_PI ** 2).tolist())
+del _z2k
 
 
 def _split_head(x: np.ndarray) -> np.ndarray:
@@ -460,17 +451,14 @@ def _em_remainder(out: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
     out += Nf ** (1.0 - s) / (s - 1.0) + 0.5 * Nf ** (-s)
     # Bernoulli tail; a one-point block runs it in Python complex scalars,
     # which cost far less per step than numpy calls on a length-1 array
-    ratios = _bernoulli_ratios(_EM_MAX_BERNOULLI)
     term = (1.0 / 12.0) * s * Nf ** (-s - 1.0)
     if len(s) == 1:
-        out[0] = _bernoulli_tail(complex(out[0]), complex(s[0]), complex(term[0]),
-                                 Nf, ratios, _EM_MAX_BERNOULLI, abs)
+        out[0] = _bernoulli_tail(complex(out[0]), complex(s[0]), complex(term[0]), Nf, abs)
         return out
-    return _bernoulli_tail(out, s, term, Nf, ratios, _EM_MAX_BERNOULLI,
-                           lambda v: float(np.abs(v).max()))
+    return _bernoulli_tail(out, s, term, Nf, lambda v: float(np.abs(v).max()))
 
 
-def _bernoulli_tail(acc, s, term, Nf: float, ratios: tuple, kmax: int, absmax):
+def _bernoulli_tail(acc, s, term, Nf: float, absmax):
     """Add the Bernoulli terms to acc, starting from `term` (k = 1), with
     one k-loop for the whole block: it stops at the series' smallest term,
     judged by absmax over the block."""
@@ -478,9 +466,9 @@ def _bernoulli_tail(acc, s, term, Nf: float, ratios: tuple, kmax: int, absmax):
     amax = absmax(term)
     while True:
         acc += term
-        nxt = term * (ratios[k] * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
+        nxt = term * (_BERNOULLI_RATIOS[k] * ((s + (2 * k - 1)) * (s + 2 * k))) / (Nf * Nf)
         prev, amax = amax, absmax(nxt)
-        if amax < 1e-17 or amax >= prev or k >= kmax:
+        if amax < 1e-17 or amax >= prev or k >= _EM_MAX_BERNOULLI:
             break
         term = nxt
         k += 1
@@ -500,10 +488,9 @@ def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CON
     s = complex(sigma, t)
     N = float(config.em_cutoff(t))
     term = abs((1.0 / 12.0) * s * N ** (-sigma - 1.0))
-    ratios = _bernoulli_ratios(_EM_MAX_BERNOULLI)
     k = 1
     while k < _EM_MAX_BERNOULLI:
-        nxt = term * abs(ratios[k]) * abs(s + (2 * k - 1)) * abs(s + 2 * k) / (N * N)
+        nxt = term * abs(_BERNOULLI_RATIOS[k]) * abs(s + (2 * k - 1)) * abs(s + 2 * k) / (N * N)
         if nxt >= term or nxt < 1e-18:
             term = nxt
             break

@@ -3,9 +3,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from zetalab.cli import main
+from zetalab.manifest import csv_cells
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -164,12 +166,52 @@ class TestVerifyCommand:
         assert code == 2 and not out.exists()
 
     @pytest.mark.parametrize("suite", ["ladder", "quotients"])
+    def test_empty_heights_is_2(self, tmp_path, suite, capsys):
+        code, out, _ = run_cli(["verify", "--suite", suite, "--heights", ","], tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"the {suite} suite needs at least one height" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["ladder", "quotients"])
     def test_height_below_100_is_2_not_skipped(self, tmp_path, suite):
         code, out, _ = run_cli(
             ["verify", "--suite", suite, "--heights", "1000,50",
              "--cache-dir", str(tmp_path / "cache")], tmp_path
         )
         assert code == 2 and not out.exists()
+
+
+class TestCsvCells:
+    def test_one_format_per_type(self):
+        assert csv_cells([(None, True, False, 10**20, np.float64(1 / 3), 1e20, "a b")]) == [
+            ["", "true", "false", "100000000000000000000", "0.333333333333333", "1e+20", "a b"]
+        ]
+
+
+# one cheap op per subcommand; the chain op reads the cbar the cbar op caches
+EVERY_COMMAND = [
+    ["theta", "--t", "1,100.5"],
+    ["z", "--t", "100.5,250.25"],
+    ["s", "--t", "100.5"],
+    ["gram", "--from", "100", "--to", "130"],
+    ["moments", "--kind", "critical2", "--from", "100", "--to", "102"],
+    ["cbar", "--l", "1", "--T", "200", "--H", "40"],
+    ["ladder", "--T", "200", "--k", "2"],
+    ["sum", "--kind", "fourth", "--from", "100", "--to", "150"],
+    ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "10,20"],
+    ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3"],
+    ["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
+    ["verify", "--suite", "gram", "--nu-max", "50"],
+]
+
+
+def test_every_command_writes_its_stdout_under_a_header_of_its_width(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    for i, argv in enumerate(EVERY_COMMAND):
+        code, out, _ = run_cli(argv + ["--cache-dir", cache_dir], tmp_path, f"{i}.csv")
+        assert code == 0, argv
+        header, *body = out.read_text().splitlines()
+        assert body and all(len(r.split(",")) == len(header.split(",")) for r in body), argv
+        assert capsys.readouterr().out.splitlines() == body, argv
 
 
 class TestManifest:

@@ -13,6 +13,7 @@ from zetalab import (
     fermat_search,
     substitution_constant,
 )
+from zetalab.cli import main
 
 
 class TestRational:
@@ -87,8 +88,9 @@ class TestWitness:
         with pytest.raises(DomainError):
             fermat_equivalence_check(3, 4, 5, 2)
 
-    def test_csv_row(self):
-        w = fermat_equivalence_check(3, 4, 5, 3)
-        row = w.csv_row()
+    def test_csv_row(self, tmp_path, capsys):
+        assert main(["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3",
+                     "--manifest", str(tmp_path / "m.jsonl")]) == 0
+        row = capsys.readouterr().out.rstrip("\n").split(",")
         assert row[:6] == ["3", "4", "5", "3", "91", "125"]
         assert row[6] == "false"

@@ -17,7 +17,8 @@ from zetalab import (
     theta,
 )
 from zetalab.config import DEFAULT_CONFIG
-from zetalab.gram import _initial_guess, _solve_many, gram_csv_rows
+from zetalab.cli import main
+from zetalab.gram import _initial_guess, _solve_many
 from zetalab.zeta import theta_deriv
 
 TWO_PI = 2.0 * math.pi
@@ -152,8 +153,10 @@ class TestCountEstimate:
             gram_count_estimate(2.0)
 
 
-def test_csv_rows_format():
-    rows = gram_csv_rows(gram_range(100.0, 120.0).points)
+def test_csv_rows_format(tmp_path, capsys):
+    assert main(["gram", "--from", "100", "--to", "120",
+                 "--manifest", str(tmp_path / "m.jsonl")]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
     assert all(len(r) == 3 for r in rows)
     nu, t, res = rows[0]
     assert int(nu) >= 1 and float(t) >= 100.0 and float(res) >= 0.0

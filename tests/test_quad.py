@@ -8,6 +8,7 @@ import pytest
 from zetalab import PrecisionError
 from zetalab.quad import (
     _GK_X,
+    _gl,
     _nodes,
     check_error,
     critical_panel_width,
@@ -15,6 +16,7 @@ from zetalab.quad import (
     integrate_panels,
     kronrod_sums,
     panel_edges,
+    panel_sums,
     sigma_panel_runs,
 )
 
@@ -61,6 +63,25 @@ def test_gauss_panels_weights_sum():
     nodes, weights = gauss_panels(1.0, 4.0, width=0.3, order=6)
     assert np.sum(weights) == pytest.approx(3.0, rel=1e-13)
     assert nodes.min() > 1.0 and nodes.max() < 4.0
+
+
+def test_panel_sums_one_panel_is_the_plain_sum():
+    # one panel gives the bits of the hand-written GL16 sum it replaced
+    x, w = _gl(16)
+    f = lambda t: np.cos(t) ** 2 * np.exp(np.sin(3.0 * t))
+    for a, u in [(1000.25, 1000.3125), (10494.4, 10494.45), (0.0, 2.0), (7.0, 7.0)]:
+        mid, half = 0.5 * (a + u), 0.5 * (u - a)
+        want = np.sum(f(mid + half * x) * w) * half
+        got = panel_sums(f, np.array([a]), np.array([u]), 16)[0]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_panel_sums_exactness_on_uneven_edges():
+    # GL16 is exact to degree 31 on each panel, however wide
+    edges = np.array([-1.0, -0.3, 0.05, 0.4, 1.7, 2.0])
+    sums = panel_sums(lambda t: t ** 31 - 2.0 * t ** 30, edges[:-1], edges[1:], 16)
+    F = lambda t: t ** 32 / 32.0 - 2.0 * t ** 31 / 31.0
+    np.testing.assert_allclose(sums, F(edges[1:]) - F(edges[:-1]), rtol=1e-13, atol=1e-15)
 
 
 def test_edges_cover_interval():
