@@ -9,6 +9,8 @@ exact Fermat-rational arithmetic with a two-channel consistency check.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .argz import ArgTrace, S1Evaluator, ZeroCache, s1_of_t, s_of_t, shared_s1_evaluator
 from .config import (
     AmbiguousBranchError,
@@ -46,62 +48,6 @@ from .moments import (
 from .sums import SumResult, TrendReport, fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
 from .zeta import EULER_GAMMA, RS_CROSSOVER, hardy_z, hardy_z_many, theta, theta_deriv, zeta
 
-__all__ = [
-    "ArgTrace",
-    "AmbiguousBranchError",
-    "CacheMissError",
-    "CbarEstimate",
-    "ChainReport",
-    "ConstantsCache",
-    "DEFAULT_CONFIG",
-    "DomainError",
-    "EULER_GAMMA",
-    "FermatWitness",
-    "FunctionalApproximant",
-    "GramPoint",
-    "GramRange",
-    "LadderChain",
-    "MomentEstimate",
-    "PartitionReport",
-    "PoleError",
-    "PrecisionConfig",
-    "PrecisionError",
-    "RootError",
-    "RS_CROSSOVER",
-    "S1Evaluator",
-    "SumResult",
-    "TrackingError",
-    "TrendReport",
-    "ZeroCache",
-    "ZetaLabError",
-    "chain_compare",
-    "estimate_cbar",
-    "fermat_equivalence_check",
-    "fermat_rational",
-    "fermat_search",
-    "fourth_power_sum",
-    "functional_approximant",
-    "gram_count_estimate",
-    "gram_point",
-    "gram_points",
-    "gram_range",
-    "hardy_z",
-    "hardy_z_many",
-    "ladder_chain",
-    "partition_report",
-    "quotient_s1",
-    "quotient_zeta",
-    "reverse_iterate",
-    "s1_moment",
-    "s1_of_t",
-    "s_of_t",
-    "second_moment_critical",
-    "second_moment_sigma",
-    "shared_s1_evaluator",
-    "substitution_constant",
-    "theta",
-    "theta_deriv",
-    "titchmarsh_sum",
-    "verify_asymptotic_trend",
-    "zeta",
-]
+# every public name imported above, and nothing else (submodules excluded)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from numbers import Integral, Real
 from typing import Any, Dict
 import json
 import math
@@ -34,12 +35,17 @@ class PrecisionConfig:
     eval_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError("abs_tol must be positive and finite")
-        if not (self.quad_step_cap > 0 and math.isfinite(self.quad_step_cap)):
-            raise DomainError("quad_step_cap must be positive and finite")
-        if self.em_margin_base < 1 or self.em_margin_scale < 0:
-            raise DomainError("invalid Euler-Maclaurin margin policy")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise DomainError(f"{f.name} must be a number, got {value!r}")
+        for name in ("abs_tol", "quad_step_cap", "eval_tol"):
+            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
+                raise DomainError(f"{name} must be positive and finite")
+        if not isinstance(self.em_margin_base, Integral) or self.em_margin_base < 1:
+            raise DomainError("em_margin_base must be an integer >= 1")
+        if not (0 <= self.em_margin_scale < math.inf):
+            raise DomainError("em_margin_scale must be finite and >= 0")
 
     def em_cutoff(self, t: float) -> int:
         """Euler-Maclaurin main-sum cutoff N for imaginary part t."""
@@ -60,16 +66,21 @@ class PrecisionConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "PrecisionConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        if not isinstance(d, dict):
+            raise DomainError(f"a PrecisionConfig must be a JSON object, not {type(d).__name__}")
+        bad = set(d) - {f.name for f in fields(cls)}
         if bad:
             raise DomainError(f"unknown PrecisionConfig fields: {sorted(bad)}")
         return cls(**d)
 
     @classmethod
     def from_json(cls, path: str) -> "PrecisionConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                d = json.load(f)
+        except (OSError, ValueError) as e:
+            raise DomainError(f"cannot read config {path}: {e}") from None
+        return cls.from_dict(d)
 
 
 DEFAULT_CONFIG = PrecisionConfig()

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .argz import shared_s1_evaluator
-from .config import DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
+from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
 from .quad import (
     _integrate_halving, check_error, critical_panel_width, integrate_panels, kronrod_sums,
     sigma_panel_runs,
@@ -120,6 +120,17 @@ def second_moment_sigma(
     return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
 
 
+def _split_gaps(edges: np.ndarray) -> np.ndarray:
+    """Split each gap of width d into floor(d/2) + 1 equal panels, so no
+    panel is 2.0 wide (up to the rounding of the split points) and the
+    panel degree stays adequate."""
+    gaps = np.diff(edges)
+    parts = (gaps // 2.0).astype(np.int64) + 1
+    gap = np.repeat(np.arange(gaps.size), parts)
+    j = np.arange(gap.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    return np.append(edges[gap] + gaps[gap] * j / parts[gap], edges[-1])
+
+
 def s1_moment(
     l: int,
     t_lo: float,
@@ -141,20 +152,12 @@ def s1_moment(
     ev = shared_s1_evaluator(config)
     ev.ensure(t_hi)
     knots = ev.zeros_in(t_lo, t_hi)
-    edges = np.concatenate([[t_lo], knots, [t_hi]])
-    # split any gap wider than 2.0 to keep panel degree adequate
-    refined = [edges[0]]
-    for e in edges[1:]:
-        prev = refined[-1]
-        n_extra = int((e - prev) // 2.0)
-        for j in range(1, n_extra + 1):
-            refined.append(prev + (e - prev) * j / (n_extra + 1))
-        refined.append(e)
+    edges = _split_gaps(np.concatenate([[t_lo], knots, [t_hi]]))
 
     def f(ts: np.ndarray) -> np.ndarray:
         return np.abs(ev.value_many(ts)) ** (2 * l)
 
-    value, err = check_error(*_integrate_halving(f, np.array(refined), 10), what="s1moment")
+    value, err = check_error(*_integrate_halving(f, edges, 10), what="s1moment")
     return _finish(t_lo, t_hi, "s1moment", float(l), value, err)
 
 
@@ -205,10 +208,16 @@ class ConstantsCache:
         self.path = Path(path)
 
     def _load(self) -> dict:
-        if self.path.exists():
+        if not self.path.exists():
+            return {}
+        try:
             with open(self.path, "r", encoding="utf-8") as f:
-                return json.load(f)
-        return {}
+                data = json.load(f)
+        except (OSError, ValueError) as e:
+            raise CacheMissError(f"cannot read constants cache {self.path}: {e}") from None
+        if not isinstance(data, dict):
+            raise CacheMissError(f"constants cache {self.path} is not a JSON object")
+        return data
 
     def put(self, est: CbarEstimate) -> str:
         data = self._load()
@@ -217,19 +226,21 @@ class ConstantsCache:
             "spread": est.spread,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         # write a sibling temp file and rename it over the old one, so an
         # interrupted write never leaves truncated JSON behind
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
         try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as f:
                 json.dump(data, f, indent=2, sort_keys=True)
             os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        except OSError as e:
+            raise DomainError(f"cannot write constants cache {self.path}: {e}") from None
+        finally:
+            if tmp.exists():
+                tmp.unlink()
         return est.cache_key
 
     def get(self, l: int, T: float, H: float) -> Optional[CbarEstimate]:

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zetalab import cli
 from zetalab.cli import main
 from zetalab.manifest import csv_cells
 
@@ -82,6 +85,64 @@ class TestExitCodes:
             tmp_path,
         )
         assert code == 4
+
+
+class TestBadInputsExit2:
+    @pytest.mark.parametrize("text", [
+        None, "{", '{"abs_tol": "x"}', '{"em_margin_scale": Infinity}',
+        '{"em_margin_base": 1e9}', '{"eval_tol": NaN}', "[1]",
+    ], ids=["missing", "bad-json", "string", "inf-scale", "float-base", "nan-tol", "list"])
+    def test_bad_config(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, _ = run_cli(["z", "--t", "100", "--config", str(cfg)], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
+        ["functional", "--kind", "B", "--x", "1", "--tau", "10", "--l", "1",
+         "--cbar-T", "200", "--cbar-H", "40"],
+        ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--kind", "B", "--l", "1",
+         "--cbar-T", "200", "--cbar-H", "40"],
+        ["cbar", "--l", "1", "--T", "200", "--H", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_corrupt_cache(self, tmp_path, capsys, argv):
+        cache = tmp_path / "cache" / "constants.json"
+        cache.parent.mkdir()
+        cache.write_text('{"cbar/l=1/T=200')
+        code, out, _ = run_cli(argv + ["--cache-dir", str(cache.parent)], tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"error: cannot read constants cache {cache}: " in capsys.readouterr().err
+
+    def test_cache_dir_on_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, _, _ = run_cli(["cbar", "--l", "1", "--T", "200", "--H", "40",
+                              "--cache-dir", str(tmp_path / "file")], tmp_path)
+        assert code == 2
+        assert "error: cannot write constants cache " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    @pytest.mark.parametrize("name", ["", "file/x"], ids=["a-directory", "under-a-file"])
+    def test_unwritable_output(self, tmp_path, capsys, flag, name):
+        (tmp_path / "file").write_text("")
+        paths = {"--out": str(tmp_path / "o.csv"), "--manifest": str(tmp_path / "m.jsonl")}
+        paths[flag] = str(tmp_path / name)
+        code = main(["theta", "--t", "100"] + [arg for item in paths.items() for arg in item])
+        assert code == 2
+        assert f"error: cannot write {paths[flag]}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["theta", "--t", ","], ["z", "--t", ","], ["s", "--t", ", ,"],
+        ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", ","],
+        ["z", "--t", "100", "--jobs", "0"], ["z", "--t", "100", "--jobs", "-3"],
+    ])
+    def test_empty_list_or_jobs_below_1_at_parse(self, tmp_path, capsys, argv):
+        code, out, manifest = run_cli(argv, tmp_path)
+        assert code == 2 and not out.exists() and not manifest.exists()
+        flag = argv[-2]
+        assert f"error: argument {flag}: " in capsys.readouterr().err
 
 
 class TestFermatCommand:
@@ -212,6 +273,19 @@ def test_every_command_writes_its_stdout_under_a_header_of_its_width(tmp_path, c
         header, *body = out.read_text().splitlines()
         assert body and all(len(r.split(",")) == len(header.split(",")) for r in body), argv
         assert capsys.readouterr().out.splitlines() == body, argv
+
+
+def test_readme_cli_examples_parse_and_cover_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface", 1)[1].split("```")[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("zetalab ")]
+    parser = cli._build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: zetalab {shlex.join(argv)}")
+    assert {argv[0] for argv in examples} == set(cli._COMMANDS)
 
 
 class TestManifest:

@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from zetalab import (
@@ -20,6 +22,7 @@ from zetalab import (
     second_moment_sigma,
     shared_s1_evaluator,
 )
+from zetalab.moments import _split_gaps
 from zetalab.quad import gauss_panels, sigma_panel_runs
 from zetalab.zeta import _BLOCK, zeta_abs2_line
 
@@ -145,6 +148,30 @@ class TestSigma2Oracle:
 class TestS1Moment:
     def test_empty(self):
         assert s1_moment(1, 100.0, 100.0).value == 0.0
+
+    @staticmethod
+    def _split_gaps_loop(edges):
+        """The loop `_split_gaps` replaced, kept as its bitwise reference."""
+        refined = [edges[0]]
+        for e in edges[1:]:
+            prev = refined[-1]
+            n_extra = int((e - prev) // 2.0)
+            for j in range(1, n_extra + 1):
+                refined.append(prev + (e - prev) * j / (n_extra + 1))
+            refined.append(e)
+        return np.array(refined)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e4), min_size=2, max_size=30, unique=True))
+    def test_split_gaps_keeps_knots_and_caps_panels(self, points):
+        edges = np.array(sorted(points))
+        refined = _split_gaps(edges)
+        assert refined.tobytes() == self._split_gaps_loop(edges).tobytes()
+        assert np.isin(edges, refined).all()
+        assert (np.diff(refined) > 0).all()
+        # d/(floor(d/2)+1) < 2 exactly; the rounded split points may add a
+        # few ulp (a gap of 141.99999999999818 gives one panel of 2.0)
+        assert (np.diff(refined) < 2.0 + 4 * np.spacing(edges[-1])).all()
 
     def test_power_monotonicity_where_small(self):
         # on a window where max|S1| <= 1 (checked, not assumed), x^4 <= x^2;
