@@ -121,7 +121,17 @@ class ZeroCache:
     of the local mean gap), a dip-refinement pass that hunts for
     close pairs hiding inside same-sign cells, and vectorized bisection.
     A bracket leaves the bisection once its midpoint equals one of its
-    ends, since it cannot move any more; 52 rounds are the cap.
+    ends, since it cannot move any more; 52 levels are the cap.
+
+    The bisection path is walked, but Z is evaluated on it only near the
+    root.  Beside each bracket [a, b] an inner bracket [lo, hi] narrows
+    by Illinois steps (modified regula falsi).  A midpoint at least
+    g = GUARD_ULPS ulps of b below lo or above hi takes that side without
+    a Z call; once hi - lo <= 4 g, the midpoints are evaluated.  So the
+    zeros are the bisection's bit for bit, provided the computed sign of
+    Z is the true one more than g/2 from a simple root.  Below
+    RS_CROSSOVER, where Z depends on the block it is evaluated in, g is
+    infinite and the bisection is plain.
     The final count is cross-checked against the branch-tracking count
     N(t); a mismatch raises rather than self-corrects, keeping the two
     channels independent.
@@ -139,6 +149,7 @@ class ZeroCache:
 
     FIRST_ZERO_FLOOR = 10.0
     BISECT_ROUNDS = 52
+    GUARD_ULPS = 256
 
     def __init__(self, config: PrecisionConfig = DEFAULT_CONFIG):
         self.config = config
@@ -207,6 +218,7 @@ class ZeroCache:
         a = [grid[flips]]
         b = [grid[flips + 1]]
         fa = [z[flips]]
+        fb = [z[flips + 1]]
 
         # dip refinement: a same-sign cell whose middle sample is a local
         # minimum of |Z| below the threshold may hide a close pair
@@ -226,27 +238,65 @@ class ZeroCache:
             a.append(sub[rows, cols])
             b.append(sub[rows, cols + 1])
             fa.append(zs[rows, cols])
+            fb.append(zs[rows, cols + 1])
 
-        a, b, fa = np.concatenate(a), np.concatenate(b), np.concatenate(fa)
+        a, b, fa, fb = (np.concatenate(v) for v in (a, b, fa, fb))
         keep = b >= keep_from
-        zeros = np.sort(self._bisect(a[keep], b[keep], fa[keep]))
+        zeros = np.sort(self._bisect(a[keep], b[keep], fa[keep], fb[keep]))
         return zeros[np.searchsorted(zeros, keep_from):]
 
-    def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray) -> np.ndarray:
-        """Midpoints of the brackets [a, b] (fa = Z(a)) after bisection."""
-        a, b, fa = a.copy(), b.copy(), fa.copy()
+    def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
+                fb: np.ndarray) -> np.ndarray:
+        """Midpoints of the brackets [a, b] (fa = Z(a), fb = Z(b)) after
+        bisection.  Each round takes every free bisection level, then
+        evaluates one point per live bracket in one batch: an Illinois
+        point while hi - lo > 4 g, else the bisection midpoint.
+        """
+        a, b = a.copy(), b.copy()
+        lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
+        g = np.where(a < RS_CROSSOVER, np.inf, self.GUARD_ULPS * np.spacing(b))
+        level = np.zeros(len(a), dtype=np.int8)
+        moved = np.zeros(len(a), dtype=np.int8)  # inner end moved last: -1 lo, 1 hi
         live = np.arange(len(a))
-        for _ in range(self.BISECT_ROUNDS):
+        while True:
+            # free levels: a midpoint g clear of [lo, hi] takes that side
+            idx = live
+            while len(idx):
+                m = 0.5 * (a[idx] + b[idx])
+                left = m <= lo[idx] - g[idx]
+                free = ((left | (m >= hi[idx] + g[idx])) & (m != a[idx]) & (m != b[idx])
+                        & (level[idx] < self.BISECT_ROUNDS))
+                idx, m, left = idx[free], m[free], left[free]
+                a[idx[left]] = m[left]
+                b[idx[~left]] = m[~left]
+                level[idx] += 1
+
             m = 0.5 * (a[live] + b[live])
-            moving = (m != a[live]) & (m != b[live])
-            live, m = live[moving], m[moving]
+            go = (m != a[live]) & (m != b[live]) & (level[live] < self.BISECT_ROUNDS)
+            live, m = live[go], m[go]
             if not len(live):
                 break
-            fm = hardy_z_many(m, self.config)
-            left = np.sign(fm) == np.sign(fa[live])
-            a[live[left]] = m[left]
-            fa[live[left]] = fm[left]
-            b[live[~left]] = m[~left]
+            l, h, fl, fh = lo[live], hi[live], flo[live], fhi[live]
+            step = h - l > 4.0 * g[live]
+            x = l - fl * (h - l) / (fh - fl)
+            x = np.where(step, np.where((x > l) & (x < h), x, 0.5 * (l + h)), m)
+            fx = hardy_z_many(x, self.config)
+            same = np.sign(fx) == np.sign(fl)
+
+            # the bisection level at an evaluated midpoint
+            up, down = ~step & same, ~step & ~same
+            a[live[up]] = m[up]
+            b[live[down]] = m[down]
+            level[live[~step]] += 1
+
+            # the inner bracket (Illinois: halve Z at an end kept twice)
+            inside = (x > l) & (x < h)
+            to_lo, to_hi = inside & same, inside & ~same
+            i, k = live[to_lo], live[to_hi]
+            fhi[i[moved[i] == -1]] *= 0.5
+            flo[k[moved[k] == 1]] *= 0.5
+            lo[i], flo[i], moved[i] = x[to_lo], fx[to_lo], -1
+            hi[k], fhi[k], moved[k] = x[to_hi], fx[to_hi], 1
         return 0.5 * (a + b)
 
     def _check_count(self, zeros: np.ndarray, t_hi: float) -> None:

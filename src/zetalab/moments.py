@@ -7,7 +7,9 @@ persisted to a small JSON constants cache for downstream consumers.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import math
 import os
 import threading
 import time
@@ -194,6 +196,9 @@ def estimate_cbar(
     return est
 
 
+_PUT_LOCK = threading.Lock()
+
+
 class ConstantsCache:
     """JSON file of fitted constants, keyed "cbar/l=<l>/T=<T>/H=<H>".
 
@@ -220,22 +225,26 @@ class ConstantsCache:
         return data
 
     def put(self, est: CbarEstimate) -> str:
-        data = self._load()
-        data[est.cache_key] = {
-            "cbar": est.cbar,
-            "spread": est.spread,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        }
         # write a sibling temp file and rename it over the old one, so an
-        # interrupted write never leaves truncated JSON behind
+        # interrupted write never leaves truncated JSON behind; the read,
+        # update and rename hold a thread lock and an flock on a sibling
+        # .lock file, so concurrent writers never drop each other's keys
         tmp = self.path.with_name(
             f".{self.path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(data, f, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
+            with _PUT_LOCK, open(self.path.with_name(self.path.name + ".lock"), "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                data = self._load()
+                data[est.cache_key] = {
+                    "cbar": est.cbar,
+                    "spread": est.spread,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                }
+                with open(tmp, "w", encoding="utf-8") as f:
+                    json.dump(data, f, indent=2, sort_keys=True)
+                os.replace(tmp, self.path)
         except OSError as e:
             raise DomainError(f"cannot write constants cache {self.path}: {e}") from None
         finally:
@@ -244,10 +253,18 @@ class ConstantsCache:
         return est.cache_key
 
     def get(self, l: int, T: float, H: float) -> Optional[CbarEstimate]:
-        rec = self._load().get(_cbar_key(l, T, H))
+        key = _cbar_key(l, T, H)
+        rec = self._load().get(key)
         if rec is None:
             return None
-        return CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=rec["cbar"], spread=rec["spread"])
+        if not (isinstance(rec, dict) and all(
+                type(rec.get(k)) in (int, float) and math.isfinite(rec[k])
+                for k in ("cbar", "spread"))):
+            raise CacheMissError(
+                f"constants cache {self.path} holds no finite cbar and spread for {key}"
+            )
+        return CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(rec["cbar"]),
+                            spread=float(rec["spread"]))
 
     def keys(self) -> List[str]:
         return sorted(self._load().keys())

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zetalab.argz as argz
 from zetalab import (
@@ -17,7 +19,7 @@ from zetalab import (
     theta,
 )
 from zetalab.quad import gauss_panels
-from zetalab.zeta import RS_CROSSOVER
+from zetalab.zeta import RS_CROSSOVER, TWO_PI, hardy_z_many
 
 FIRST_ZEROS = [14.134725141734694, 21.022039638771555, 25.010857580145689,
                30.424876125859513, 32.935061587739190]
@@ -123,6 +125,52 @@ def _bisect_52_rounds(a, b, fa, z):
     return 0.5 * (av + bv)
 
 
+def _scan_brackets(t_max):
+    """The (a, b, Z(a), Z(b)) that a fresh scan to t_max hands to _bisect."""
+    cache = ZeroCache()
+    brackets = []
+    bisect = cache._bisect
+
+    def recording_bisect(a, b, fa, fb):
+        brackets.append((a, b, fa, fb))
+        return bisect(a, b, fa, fb)
+
+    cache._bisect = recording_bisect
+    cache.ensure(t_max)
+    return brackets[0]
+
+
+def _count_z_points(monkeypatch):
+    """A list that receives the size of every later argz.hardy_z_many call."""
+    points = []
+    z = argz.hardy_z_many
+
+    def counting_z(t, config=argz.DEFAULT_CONFIG):
+        points.append(len(t))
+        return z(t, config)
+
+    monkeypatch.setattr(argz, "hardy_z_many", counting_z)
+    return points
+
+
+def _plain_bisection(a, b, fa, z):
+    """The bisection that leaves a bracket once its midpoint is an end."""
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    live = np.arange(len(a))
+    for _ in range(52):
+        m = 0.5 * (a[live] + b[live])
+        moving = (m != a[live]) & (m != b[live])
+        live, m = live[moving], m[moving]
+        if not len(live):
+            break
+        fm = z(m)
+        left = np.sign(fm) == np.sign(fa[live])
+        a[live[left]] = m[left]
+        fa[live[left]] = fm[left]
+        b[live[~left]] = m[~left]
+    return 0.5 * (a + b)
+
+
 class TestZeroCacheGrowth:
     @pytest.mark.parametrize(
         "ceilings",
@@ -149,35 +197,45 @@ class TestZeroCacheGrowth:
             assert restarts == [ZeroCache.FIRST_ZERO_FLOOR] * 2
 
     def test_early_exit_matches_52_rounds(self, monkeypatch):
-        cache = ZeroCache()
-        brackets = []
-        bisect = cache._bisect
-
-        def recording_bisect(a, b, fa):
-            brackets.append((a, b, fa))
-            return bisect(a, b, fa)
-
-        cache._bisect = recording_bisect
-        cache.ensure(3e3)
-        a, b, fa = brackets[0]
+        a, b, fa, fb = _scan_brackets(3e3)
         keep = a >= RS_CROSSOVER
-        a, b, fa = a[keep], b[keep], fa[keep]
+        a, b, fa, fb = a[keep], b[keep], fa[keep], fb[keep]
         assert len(a) > 1000
 
-        points = []
-        z = argz.hardy_z_many
-
-        def counting_z(t, config=argz.DEFAULT_CONFIG):
-            points.append(len(t))
-            return z(t, config)
-
-        monkeypatch.setattr(argz, "hardy_z_many", counting_z)
-        early = ZeroCache()._bisect(a, b, fa)
+        points = _count_z_points(monkeypatch)
+        early = ZeroCache()._bisect(a, b, fa, fb)
         early_points = sum(points)
         points.clear()
-        full = _bisect_52_rounds(a, b, fa, counting_z)
+        full = _bisect_52_rounds(a, b, fa, argz.hardy_z_many)
         assert np.array_equal(early, full)
         assert early_points < sum(points) == 52 * len(a)
+
+    def test_every_scan_bracket_matches_plain_bisection(self):
+        # brackets below RS_CROSSOVER included, where Z depends on the
+        # batch it is evaluated in
+        a, b, fa, fb = _scan_brackets(3e3)
+        assert np.any(a < RS_CROSSOVER)
+        plain = _plain_bisection(a, b, fa, argz.hardy_z_many)
+        assert np.array_equal(ZeroCache()._bisect(a, b, fa, fb), plain)
+
+    def test_z_points_per_bracket(self, monkeypatch):
+        # bisection alone takes about 40 per bracket; Illinois steps that
+        # decide the far midpoints for free leave fewer than 24
+        brackets = _scan_brackets(3e3)
+        points = _count_z_points(monkeypatch)
+        ZeroCache()._bisect(*brackets)
+        assert sum(points) < 24 * len(brackets[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(RS_CROSSOVER, 2e4), st.floats(1e-3, 0.15), st.integers(8, 64))
+    def test_bisect_equals_52_rounds_on_random_brackets(self, t0, step, n):
+        # the sign-change brackets of a grid at `step` mean gaps from t0
+        grid = t0 + step * TWO_PI / math.log(t0 / TWO_PI) * np.arange(n + 1)
+        z = hardy_z_many(grid)
+        flips = np.nonzero(np.sign(z[:-1]) * np.sign(z[1:]) < 0)[0]
+        a, b, fa, fb = grid[flips], grid[flips + 1], z[flips], z[flips + 1]
+        full = _bisect_52_rounds(a, b, fa, hardy_z_many)
+        assert np.array_equal(ZeroCache()._bisect(a, b, fa, fb), full)
 
 
 class TestS1:

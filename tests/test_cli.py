@@ -116,6 +116,22 @@ class TestBadInputsExit2:
         assert code == 2 and not out.exists()
         assert f"error: cannot read constants cache {cache}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {}, {"cbar": 0.75}, {"cbar": "0.75", "spread": 0.01}, {"cbar": True, "spread": 0.01},
+        {"cbar": float("nan"), "spread": 0.01}, [0.75, 0.01], 0.75,
+    ], ids=["empty", "no-spread", "string", "bool", "nan", "list", "number"])
+    def test_malformed_cache_record(self, tmp_path, capsys, record):
+        cache = tmp_path / "cache" / "constants.json"
+        cache.parent.mkdir()
+        cache.write_text(json.dumps({"cbar/l=1/T=200/H=40": record}))
+        code, out, _ = run_cli(["chain", "--x", "1", "--tau", "10", "--cbar-T", "200",
+                                "--cbar-H", "40", "--cache-dir", str(cache.parent)], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: constants cache {cache} holds no finite cbar and spread "
+            "for cbar/l=1/T=200/H=40\n"
+        )
+
     def test_cache_dir_on_a_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         code, _, _ = run_cli(["cbar", "--l", "1", "--T", "200", "--H", "40",

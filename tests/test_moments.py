@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -277,7 +279,37 @@ class TestCbar:
         monkeypatch.undo()
         assert (tmp_path / "c.json").read_bytes() == before
         assert cache.keys() == [first.cache_key]
-        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "c.json.lock"]
+
+    def test_concurrent_puts_keep_every_key(self, tmp_path, monkeypatch):
+        from zetalab import moments
+
+        # a slow read widens the window in which an unlocked put would
+        # overwrite the other writers' keys
+        load = moments.ConstantsCache._load
+
+        def slow_load(self):
+            data = load(self)
+            time.sleep(0.01)
+            return data
+
+        monkeypatch.setattr(moments.ConstantsCache, "_load", slow_load)
+        path = str(tmp_path / "c.json")
+        ests = [moments.CbarEstimate(l=1, T=1000.0 + j, H=100.0, cbar=0.75, spread=0.01)
+                for j in range(8)]
+        start = threading.Barrier(len(ests))
+
+        def put(est):
+            start.wait(timeout=30)
+            ConstantsCache(path).put(est)
+
+        threads = [threading.Thread(target=put, args=(est,)) for est in ests]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert ConstantsCache(path).keys() == sorted(est.cache_key for est in ests)
 
     def test_two_window_stability(self):
         # nearby windows must agree within the slow O(1/ln T) drift
