@@ -24,9 +24,11 @@ from typing import Optional
 from scipy.special import zeta as real_zeta
 
 from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PrecisionConfig
-from .ladders import reverse_iterate
-from .moments import CbarEstimate, s1_moment, second_moment_critical, second_moment_sigma
+from .ladders import _reverse_iterate, reverse_iterate
+from .moments import CbarEstimate, s1_moment, second_moment_sigma
+from .quad import check_error
 from .sums import SumResult, fourth_power_sum, titchmarsh_sum
+from .zeta import rs_error_bound
 
 MIN_IMPLIED_T = 100.0
 
@@ -76,9 +78,14 @@ def substitution_constant(
     raise DomainError(f"unknown functional kind {kind!r}")
 
 
-@functools.lru_cache(maxsize=None)
 def _crit_window(T: float, config: PrecisionConfig) -> float:
-    return second_moment_critical(T, reverse_iterate(T, config), config).value
+    """The integral of Z^2 over the ladder step [T, T^1], read from the
+    step that solved for it (the `ladders._reverse_iterate` memo) under
+    the two gates of `second_moment_critical`: Z's accuracy bound at T^1
+    and the 1% quadrature gate."""
+    U, window, err = _reverse_iterate(float(T), config)
+    config.check_eval(float(rs_error_bound(U)), f"Z on [{T}, {U}]")
+    return check_error(window, err, what="critical2")[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -94,9 +94,12 @@ def gram_points(nu_lo: int, nu_hi: int, config: PrecisionConfig = DEFAULT_CONFIG
 
 def _index_bounds(t_lo: float, t_hi: float) -> Tuple[int, int]:
     """Gram indices lo..hi that can hold a t_nu in [t_lo, t_hi), from
-    theta at the endpoints; the caller drops the t_nu outside the window."""
-    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)))
-    return lo, int(math.floor(theta(t_hi) / math.pi))
+    theta at the endpoints, one index wider on each side: an end within
+    round-off of t_nu can put theta(end) / pi on either side of nu.  The
+    caller drops the t_nu outside the window, so abutting windows share
+    no point and lose none."""
+    lo = max(1, int(math.ceil(theta(t_lo) / math.pi)) - 1)
+    return lo, int(math.floor(theta(t_hi) / math.pi)) + 1
 
 
 def gram_range(

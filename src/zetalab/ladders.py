@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
-from .quad import critical_panel_width, gauss_panels, panel_sums
+from .quad import _gl_inner_gap, critical_panel_width, gauss_panels, panel_sums
 from .zeta import _BLOCK, EULER_GAMMA, hardy_z_many
 
 
@@ -47,30 +47,40 @@ class PartitionReport:
     gap_prediction_ratios: List[float]  # gap / ((1-c) T^{r-1} / ln T^{r-1})
 
 
-def _bracket(T: float, target: float, config: PrecisionConfig) -> Tuple[float, float, float]:
-    """(base, a, b): the GL8 panel [a, b] of [T, hi] in which the running
-    integral of Z^2 from T first reaches target, and the integral over
-    [T, a].
+def _bracket(
+    T: float, target: float, config: PrecisionConfig
+) -> Tuple[float, float, float, float]:
+    """(base, a, b, base_err): the GL8 panel [a, b] of [T, hi] in which the
+    running integral of Z^2 from T first reaches target, the integral over
+    [T, a], and its error estimate.
 
     hi starts 2.2 predicted gaps above T and grows by 1.6 until the
     integral reaches target.  Z is evaluated one block of nodes at a time,
     only up to the crossing panel; Z above the crossover depends only on
     its own t, so the running sums are a prefix of those over all nodes.
+    base_err is the fsum over the panels of [T, a] of |GL8 - I6|, I6 the
+    interpolatory rule on a panel's six inner nodes (`quad._gl_inner_gap`),
+    from the same samples: the estimate of a degree-5 rule, so a
+    pessimistic one for GL8.
     """
     gap0 = target / math.log(T)
     width = critical_panel_width(T + 3.0 * gap0, config)
+    inner = _gl_inner_gap(8)
     hi = T + 2.2 * gap0
     for _ in range(8):
         nodes, weights = gauss_panels(T, hi, width, order=8)
-        parts = []
+        parts, diffs = [], []
         for j in range(0, len(nodes), _BLOCK):
             z = hardy_z_many(nodes[j : j + _BLOCK], config)
-            parts.append((z * z * weights[j : j + _BLOCK]).reshape(-1, 8).sum(axis=1))
+            wz2 = (z * z * weights[j : j + _BLOCK]).reshape(-1, 8)
+            parts.append(wz2.sum(axis=1))
+            diffs.append(np.abs((wz2 * inner).sum(axis=1)))
             cum = np.concatenate([[0.0], np.cumsum(np.concatenate(parts))])
             if cum[-1] >= target:
                 edges = np.linspace(T, hi, len(nodes) // 8 + 1)
                 i = int(np.searchsorted(cum, target)) - 1
-                return float(cum[i]), float(edges[i]), float(edges[i + 1])
+                base_err = math.fsum(np.concatenate(diffs)[:i].tolist())
+                return float(cum[i]), float(edges[i]), float(edges[i + 1]), base_err
         hi = T + (hi - T) * 1.6
     raise RootError(f"failed to bracket the reverse iterate of T={T}")
 
@@ -89,21 +99,29 @@ def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float
     T = float(T)
     if not (T >= 100.0):
         raise DomainError("reverse_iterate requires T >= 100")
-    return _reverse_iterate(T, config)
+    return _reverse_iterate(T, config)[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _reverse_iterate(T: float, config: PrecisionConfig) -> float:
+def _reverse_iterate(T: float, config: PrecisionConfig) -> Tuple[float, float, float]:
+    """(T^1, window, window_err): the reverse iterate, the integral of Z^2
+    over [T, T^1] that it solved for, base + GL16 on the tail [a, T^1],
+    and that integral's error estimate, the bracket's base_err plus
+    |GL16 - GL8| on the tail.  T^1 alone is `reverse_iterate`; the window
+    is what `functionals._crit_window` reads."""
     target = (1.0 - EULER_GAMMA) * T
-    base, a, b = _bracket(T, target, config)
+    base, a, b, base_err = _bracket(T, target, config)
 
     def z2(ts: np.ndarray) -> np.ndarray:
         z = hardy_z_many(ts, config)
         return z * z
 
-    def g(u: float) -> float:
+    def tail(u: float, order: int = 16) -> float:
         # [a, u] lies inside one GL8 panel of the bracket, so one GL16 panel covers it
-        return base + float(panel_sums(z2, np.array([a]), np.array([u]), 16)[0]) - target
+        return float(panel_sums(z2, np.array([a]), np.array([u]), order)[0])
+
+    def g(u: float) -> float:
+        return base + tail(u) - target
 
     lo_, hi_ = a, b
     u = 0.5 * (a + b)
@@ -127,12 +145,14 @@ def _reverse_iterate(T: float, config: PrecisionConfig) -> float:
             break
         u = u_next
 
-    resid = abs(g(u))
+    t16 = tail(u)
+    window = base + t16
+    resid = abs(window - target)
     if resid > config.abs_tol * T:
         raise RootError(
             f"reverse_iterate residual {resid:.3e} exceeds abs_tol*T at T={T}"
         )
-    return u
+    return u, window, base_err + abs(t16 - tail(u, 8))
 
 
 def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> LadderChain:

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from zetalab import (
+    DEFAULT_CONFIG,
     CacheMissError,
     DomainError,
+    PrecisionConfig,
+    PrecisionError,
     chain_compare,
     estimate_cbar,
     functional_approximant,
+    hardy_z_many,
     quotient_s1,
     quotient_zeta,
     second_moment_critical,
@@ -18,6 +22,8 @@ from zetalab import (
     reverse_iterate,
     substitution_constant,
 )
+from zetalab import functionals, ladders, moments, sums
+from zetalab.quad import panel_sums
 
 ZETA2 = math.pi ** 2 / 6.0
 ZETA10 = 1.0009945751278180
@@ -119,10 +125,7 @@ class TestFunctionalApproximant:
 
     def test_windows_reuse_the_ladder_step(self):
         # the call's two windows find its T^1 in the reverse_iterate memo
-        from zetalab import functionals, ladders
-
-        for memo in (ladders._reverse_iterate, functionals._crit_window,
-                     functionals._sigma_window):
+        for memo in (ladders._reverse_iterate, functionals._sigma_window):
             memo.cache_clear()
         K = substitution_constant("A", sigma=1.0)
         functional_approximant("A", 1.0, 300.0 / K, sigma=1.0)
@@ -135,6 +138,50 @@ class TestFunctionalApproximant:
         assert v.T == pytest.approx(500.0, rel=1e-12)
         assert v.T1 > v.T
         assert v.target == 2.0
+
+
+class TestCriticalWindow:
+    """The critical-line window of a functional is the integral of Z^2 that
+    its ladder step solved for, not a second integration of [T, T^1]."""
+
+    @pytest.mark.parametrize("T", [1e3, 2.5e3, 1e4, 5e4])
+    def test_window_matches_independent_integrations(self, T):
+        U, window, err = ladders._reverse_iterate(T, DEFAULT_CONFIG)
+        assert functionals._crit_window(T, DEFAULT_CONFIG) == window
+        est = second_moment_critical(T, reverse_iterate(T))
+        assert abs(window - est.value) <= est.quad_error
+        # GL32 on panels 0.05 wide
+        edges = np.linspace(T, U, int(math.ceil((U - T) / 0.05)) + 1)
+        ref = math.fsum(panel_sums(lambda t: hardy_z_many(t) ** 2,
+                                   edges[:-1], edges[1:], 32).tolist())
+        assert abs(window - ref) <= err
+
+    def test_window_costs_no_second_integration(self, monkeypatch):
+        # kind A at T = 1e4: 41,443 Z points for the ladder step and 12,350
+        # for the pair sum; integrating the window again took 118,680 more
+        points = {}
+        for mod in (ladders, moments, sums):
+            def counting_z(t, config=DEFAULT_CONFIG, z=mod.hardy_z_many, name=mod.__name__):
+                points[name] = points.get(name, 0) + len(t)
+                return z(t, config)
+
+            monkeypatch.setattr(mod, "hardy_z_many", counting_z)
+        for memo in (ladders._reverse_iterate, functionals._sigma_window, sums._gram_window):
+            memo.cache_clear()
+        K = substitution_constant("A", sigma=1.0)
+        functional_approximant("A", 1.0, 1e4 / K, sigma=1.0)
+        assert "zetalab.moments" not in points
+        assert sum(points.values()) <= 60_000
+
+    def test_evaluation_gate(self):
+        # Z's truncation bound at T^1 against eval_tol, as in second_moment_critical
+        with pytest.raises(PrecisionError, match="Z on"):
+            quotient_zeta(1.0, 1e3, PrecisionConfig(eval_tol=1e-18))
+
+    def test_quadrature_gate(self, monkeypatch):
+        monkeypatch.setattr(functionals, "_reverse_iterate", lambda T, config: (T + 1.0, 1.0, 0.02))
+        with pytest.raises(PrecisionError, match="critical2"):
+            functionals._crit_window(1e3, DEFAULT_CONFIG)
 
 
 class TestChainCompare:

@@ -114,6 +114,25 @@ class TestGramRange:
         whole = gram_range(a, c).points
         assert [(p.nu, p.t) for p in left + right] == [(p.nu, p.t) for p in whole]
 
+    @given(st.lists(st.floats(2.0 * math.pi, 5e3, exclude_min=True),
+                    min_size=3, max_size=3, unique=True), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_half_open_partition_property(self, cuts, on_point):
+        # on_point moves b onto a Gram point, which only [b, c) may hold
+        a, b, c = sorted(cuts)
+        whole = gram_range(a, c).points
+        if on_point and whole and whole[len(whole) // 2].t > a:
+            b = whole[len(whole) // 2].t
+        left = gram_range(a, b).points
+        right = gram_range(b, c).points
+        assert [(p.nu, p.t) for p in left + right] == [(p.nu, p.t) for p in whole]
+
+    def test_end_one_ulp_past_a_gram_point_keeps_it(self):
+        # one ulp past t_nu, theta(t) / pi still rounds below nu for 104 of
+        # the first 6000 Gram points (nu = 14 is the first)
+        for p in gram_points(1, 300):
+            assert gram_range(p.t - 1.0, float(np.nextafter(p.t, np.inf))).points[-1].nu == p.nu
+
     def test_monotone_in_nu(self):
         pts = gram_points(1, 3000)
         ts = np.array([p.t for p in pts])

@@ -16,12 +16,13 @@ from zetalab import (
     second_moment_critical,
 )
 from zetalab import ladders
-from zetalab.quad import critical_panel_width, gauss_panels
+from zetalab.quad import _gl, _gl_inner_gap, critical_panel_width, gauss_panels
 
 
 def _full_range_bracket(T):
     """The reverse step's bracket with Z at every node of [T, hi]: the
-    crossing panel [a, b] and the running sum `base` up to a."""
+    crossing panel [a, b], the running sum `base` up to a, and the fsum of
+    |GL8 - inner-six-node rule| over the panels below a."""
     target = (1.0 - EULER_GAMMA) * T
     gap0 = target / math.log(T)
     width = critical_panel_width(T + 3.0 * gap0)
@@ -29,14 +30,16 @@ def _full_range_bracket(T):
     while True:
         nodes, weights = gauss_panels(T, hi, width, order=8)
         z = hardy_z_many(nodes)
-        per_panel = (z * z * weights).reshape(-1, 8).sum(axis=1)
+        wz2 = (z * z * weights).reshape(-1, 8)
+        per_panel = wz2.sum(axis=1)
         cum = np.concatenate([[0.0], np.cumsum(per_panel)])
         if cum[-1] >= target:
             break
         hi = T + (hi - T) * 1.6
     edges = np.linspace(T, hi, len(per_panel) + 1)
     i = int(np.searchsorted(cum, target)) - 1
-    return float(cum[i]), float(edges[i]), float(edges[i + 1])
+    err = math.fsum(np.abs((wz2 * _gl_inner_gap(8)).sum(axis=1))[:i].tolist())
+    return float(cum[i]), float(edges[i]), float(edges[i + 1]), err
 
 
 class TestReverseIterate:
@@ -70,6 +73,16 @@ class TestReverseIterate:
     def test_bracket_equals_the_full_range_reference(self, T):
         target = (1.0 - EULER_GAMMA) * T
         assert ladders._bracket(T, target, DEFAULT_CONFIG) == _full_range_bracket(T)
+
+    def test_inner_rule_weights(self):
+        # the six inner GL8 nodes carry the positive interpolatory weights
+        # 0.492, 0.016, 0.492 mirrored, and the rule is exact to degree 5
+        x, w = _gl(8)
+        v = (1.0 - _gl_inner_gap(8)) * w
+        assert v[0] == v[-1] == 0.0
+        assert np.allclose(v[1:4], [0.49203195, 0.01632537, 0.49164268], atol=1e-8)
+        for k in range(6):
+            assert (v * x ** k).sum() == pytest.approx((1 + (-1) ** k) / (k + 1), abs=1e-14)
 
     def test_bracket_stops_at_its_crossing(self, monkeypatch):
         # T^1 lies near T + 1.07 gaps; the full [T, T + 2.2 gaps] range

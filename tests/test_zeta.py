@@ -255,14 +255,15 @@ class TestLineKernel:
         assert two[0] == two[1]
         assert abs(one - two[0]) <= em_roundoff_bound(t, cfg.em_cutoff(t))
 
-    def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch):
-        from zetalab import functionals
+    @staticmethod
+    def _csv_at_jobs_1_and_2(args, tmp_path, monkeypatch):
+        # each run starts from empty window memos and an empty prime plan
+        from zetalab import functionals, ladders, sums
 
-        args = ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "4,8"]
         outs = []
         for jobs in ("1", "2"):
-            for memo in (functionals._crit_window, functionals._sigma_window,
-                         functionals._s1_window):
+            for memo in (ladders._reverse_iterate, functionals._sigma_window,
+                         functionals._s1_window, sums._gram_window):
                 memo.cache_clear()
             monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
             out = tmp_path / f"jobs{jobs}.csv"
@@ -270,7 +271,24 @@ class TestLineKernel:
                                 "--manifest", str(tmp_path / "manifest.jsonl")])
             assert code == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        return outs
+
+    def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch):
+        args = ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "4,8"]
+        one, two = self._csv_at_jobs_1_and_2(args, tmp_path, monkeypatch)
+        assert one == two
+
+    def test_fermat_kind_c_jobs_invariance(self, tmp_path, monkeypatch):
+        # the taus put the windows at T = 2500 and 2550; `fermat` writes
+        # only its verdict, so the same kind-C trace is also run through
+        # `functional`, whose CSV holds the values
+        taus = ["--tau", "333.458,340.127"]
+        fermat = ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--kind", "C",
+                  "--sigma", "1"]
+        functional = ["functional", "--kind", "C", "--x", "0.728", "--sigma", "1"]
+        for args in (fermat, functional):
+            one, two = self._csv_at_jobs_1_and_2(args + taus, tmp_path, monkeypatch)
+            assert one == two
 
 
 class TestPanelKernel:
