@@ -20,13 +20,7 @@ import threading
 from dataclasses import dataclass
 import numpy as np
 
-from .config import (
-    AmbiguousBranchError,
-    DEFAULT_CONFIG,
-    DomainError,
-    PrecisionConfig,
-    TrackingError,
-)
+from .config import AmbiguousBranchError, DomainError, TrackingError
 from .quad import panel_sums
 from .zeta import (
     RS_CROSSOVER,
@@ -49,9 +43,10 @@ class ArgTrace:
 
 _MAX_SPLIT_DEPTH = 26
 _ARG_STEP_LIMIT = 1.2  # radians per accepted tracking increment
+_SIGMA_STEPS = 15  # initial steps of the horizontal leg, 0.1 wide
 
 
-def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
+def s_of_t(t: float) -> ArgTrace:
     """S(t) by adaptive branch tracking, with N(t) and the residual.
 
     Rejects t numerically at a zero ordinate (the branch jump there is
@@ -67,17 +62,16 @@ def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
     # Vertical leg: |zeta(2+it) - 1| <= zeta(2) - 1 < 1 keeps the value in
     # the right half-plane, so the principal argument is already the
     # continuous branch.
-    v = _zeta_point(2.0, t, config)
+    v = _zeta_point(2.0, t)
     total = math.atan2(v.imag, v.real)
 
-    endpoint = _zeta_point(0.5, t, config)
+    endpoint = _zeta_point(0.5, t)
     if abs(endpoint) < 1e-6:
         raise AmbiguousBranchError(f"t={t} is numerically at a zero ordinate")
 
-    # Horizontal leg: sigma from 2 down to 1/2, initial steps bounded by the
-    # quadrature step cap, each increment a principal-log of a ratio.
-    n_steps = max(2, int(math.ceil(1.5 / config.quad_step_cap)))
-    sigmas = np.linspace(2.0, 0.5, n_steps + 1)
+    # Horizontal leg: sigma from 2 down to 1/2 in _SIGMA_STEPS initial
+    # steps, each increment a principal-log of a ratio.
+    sigmas = np.linspace(2.0, 0.5, _SIGMA_STEPS + 1)
 
     def increment(s1: float, s2: float, v1: complex, v2: complex, depth: int) -> float:
         d = np.angle(v2 / v1)
@@ -92,12 +86,12 @@ def s_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> ArgTrace:
                 f"argument varies too fast near sigma={s1:.6f}..{s2:.6f}, t={t}"
             )
         sm = 0.5 * (s1 + s2)
-        vm = _zeta_point(sm, t, config)
+        vm = _zeta_point(sm, t)
         return increment(s1, sm, v1, vm, depth + 1) + increment(sm, s2, vm, v2, depth + 1)
 
     v_prev = v
     for j in range(1, len(sigmas)):
-        v_next = endpoint if j == len(sigmas) - 1 else _zeta_point(float(sigmas[j]), t, config)
+        v_next = endpoint if j == len(sigmas) - 1 else _zeta_point(float(sigmas[j]), t)
         total += increment(float(sigmas[j - 1]), float(sigmas[j]), v_prev, v_next, 0)
         v_prev = v_next
 
@@ -151,8 +145,7 @@ class ZeroCache:
     BISECT_ROUNDS = 52
     GUARD_ULPS = 256
 
-    def __init__(self, config: PrecisionConfig = DEFAULT_CONFIG):
-        self.config = config
+    def __init__(self):
         self.t_max = 0.0
         self.zeros = np.empty(0)
         self._lock = threading.Lock()
@@ -211,7 +204,7 @@ class ZeroCache:
         keep_from, the neighbours every kept bracket needs."""
         grid = self._grid(starts, t_hi)
         grid = grid[max(0, int(np.searchsorted(grid, keep_from)) - 2):]
-        z = hardy_z_many(grid, self.config)
+        z = hardy_z_many(grid)
         sgn = np.sign(z)
         flip = sgn[:-1] * sgn[1:] < 0
         flips = np.nonzero(flip)[0]
@@ -232,7 +225,7 @@ class ZeroCache:
         )[0] + 1
         if len(cand):
             sub = np.linspace(grid[cand - 1], grid[cand + 1], 41, axis=1)
-            zs = hardy_z_many(sub.ravel(), self.config).reshape(sub.shape)
+            zs = hardy_z_many(sub.ravel()).reshape(sub.shape)
             ss = np.sign(zs)
             rows, cols = np.nonzero(ss[:, :-1] * ss[:, 1:] < 0)
             a.append(sub[rows, cols])
@@ -280,7 +273,7 @@ class ZeroCache:
             step = h - l > 4.0 * g[live]
             x = l - fl * (h - l) / (fh - fl)
             x = np.where(step, np.where((x > l) & (x < h), x, 0.5 * (l + h)), m)
-            fx = hardy_z_many(x, self.config)
+            fx = hardy_z_many(x)
             same = np.sign(fx) == np.sign(fl)
 
             # the bisection level at an evaluated midpoint
@@ -302,7 +295,7 @@ class ZeroCache:
     def _check_count(self, zeros: np.ndarray, t_hi: float) -> None:
         """Independent count validation at a checkpoint clear of any zero."""
         check = self._checkpoint_clear_of(zeros, t_hi)
-        n_expected = s_of_t(check, self.config).zero_count
+        n_expected = s_of_t(check).zero_count
         n_found = int(np.searchsorted(zeros, check))
         if n_found != n_expected:
             raise TrackingError(
@@ -345,9 +338,8 @@ class S1Evaluator:
     _THETA_PANEL = 2.0
     _THETA_ORDER = 16
 
-    def __init__(self, config: PrecisionConfig = DEFAULT_CONFIG):
-        self.config = config
-        self.zeros_cache = ZeroCache(config)
+    def __init__(self):
+        self.zeros_cache = ZeroCache()
         self._tables = _S1Tables(0.0, np.empty(0), np.zeros(1), np.zeros(1), np.zeros(1))
         self._lock = threading.Lock()
 
@@ -396,26 +388,20 @@ class S1Evaluator:
         return tab.zeros[lo:hi]
 
 
-_EVALUATORS: dict[PrecisionConfig, S1Evaluator] = {}
-_EVAL_LOCK = threading.Lock()
+_SHARED = S1Evaluator()
 
 
-def shared_s1_evaluator(config: PrecisionConfig = DEFAULT_CONFIG) -> S1Evaluator:
-    """Synchronized per-config evaluator cache (results are deterministic,
-    so sharing across workers is safe)."""
-    with _EVAL_LOCK:
-        ev = _EVALUATORS.get(config)
-        if ev is None:
-            ev = S1Evaluator(config)
-            _EVALUATORS[config] = ev
-        return ev
+def shared_s1_evaluator() -> S1Evaluator:
+    """The process's one evaluator (results are deterministic, so sharing
+    across workers is safe)."""
+    return _SHARED
 
 
-def s1_of_t(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def s1_of_t(t: float) -> float:
     """S1(t), the antiderivative of S, via the shared evaluator."""
     t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError("s1_of_t requires finite t >= 0")
     if t == 0.0:
         return 0.0
-    return shared_s1_evaluator(config).value(t)
+    return shared_s1_evaluator().value(t)

@@ -134,14 +134,14 @@ def _z(args, config, cache, manifest):
 
 @_command("s", "S(t) traces", _T)
 def _s(args, config, cache, manifest):
-    traces = _pmap(args.jobs, lambda t: s_of_t(t, config), args.t)
+    traces = _pmap(args.jobs, s_of_t, args.t)
     return (["t", "S", "zero_count", "branch_residual"],
             [(tr.t, tr.s_value, tr.zero_count, tr.branch_residual) for tr in traces])
 
 
 @_command("gram", "Gram points in [from, to)", *_SPAN)
 def _gram(args, config, cache, manifest):
-    rng = gram_range(args.t_lo, args.t_hi, config)
+    rng = gram_range(args.t_lo, args.t_hi)
     return ["nu", "t", "residual"], [(p.nu, p.t, p.residual) for p in rng.points]
 
 
@@ -160,7 +160,7 @@ def _moments(args, config, cache, manifest):
     else:
         if args.l is None:
             raise DomainError("s1moment requires --l")
-        est = s1_moment(args.l, args.t_lo, args.t_hi, config)
+        est = s1_moment(args.l, args.t_lo, args.t_hi)
     return (["kind", "param", "t_lo", "t_hi", "value", "per_unit", "quad_error"],
             [(est.kind, est.param, est.t_lo, est.t_hi, est.value, est.per_unit, est.quad_error)])
 
@@ -170,7 +170,7 @@ def _moments(args, config, cache, manifest):
           _flag("--T", type=float, required=True),
           _flag("--H", type=float, required=True))
 def _cbar(args, config, cache, manifest):
-    est = estimate_cbar(args.l, args.T, args.H, config, cache=cache)
+    est = estimate_cbar(args.l, args.T, args.H, cache=cache)
     manifest.add_cbar_key(est.cache_key)
     return ["l", "T", "H", "cbar", "spread"], [(est.l, est.T, est.H, est.cbar, est.spread)]
 
@@ -190,8 +190,7 @@ def _ladder(args, config, cache, manifest):
           _flag("--kind", choices=["pair", "fourth"], required=True),
           *_SPAN)
 def _sum(args, config, cache, manifest):
-    res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(
-        args.t_lo, args.t_hi, config)
+    res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(args.t_lo, args.t_hi)
     return (["kind", "T", "terms", "value", "main_term", "ratio"],
             [(res.kind, res.t_lo, res.terms, res.value, res.main_term, res.ratio)])
 
@@ -252,9 +251,9 @@ def _chain(args, config, cache, manifest):
 
 # name -> suite(args, config, cache)
 _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
-    "asymptotics": lambda args, config, cache: verify.asymptotics(args.heights, config),
-    "gram": lambda args, config, cache: verify.gram(args.nu_max, config),
-    "branch": lambda args, config, cache: verify.branch(args.n_heights, args.seed, config),
+    "asymptotics": lambda args, config, cache: verify.asymptotics(args.heights),
+    "gram": lambda args, config, cache: verify.gram(args.nu_max),
+    "branch": lambda args, config, cache: verify.branch(args.n_heights, args.seed),
     "ladder": lambda args, config, cache: verify.ladder(args.heights, config),
     "quotients": lambda args, config, cache: verify.quotients(args.heights, config, cache),
 }

@@ -1,56 +1,53 @@
-"""Precision knobs and the error taxonomy shared by all evaluators."""
+"""Precision policy and the error taxonomy shared by all evaluators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, fields
-from numbers import Integral, Real
-from typing import Any, Dict
+from numbers import Real
+from typing import Any, ClassVar, Dict
 import json
 import math
+
+# Residual gate of the structural solves: the Gram defining equation
+# (with a representability floor), the ladder defining equation (times T)
+# and the `verify --suite gram` band.
+ABS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Numerical policy for every evaluator in the package.
+    """The accuracy gate, the one settable part of the numerical policy.
 
-    abs_tol governs root residuals and structural consistency checks
-    (Gram defining equations, ladder defining equations, branch
-    integrality).  eval_tol is the acceptance threshold for the
-    a-posteriori accuracy bound of a single zeta/Z evaluation; a bound
-    above it raises PrecisionError rather than returning a silently
-    degraded value.  quad_step_cap caps the critical-line panel width;
-    sigma-line panels take their width from the integrand's bandwidth
-    (quad.sigma_panel_runs) and have no knob.
+    eval_tol is the acceptance threshold for the a-posteriori accuracy
+    bound of a single zeta/Z evaluation; a bound above it raises
+    PrecisionError rather than returning a silently degraded value.  It
+    moves no value: a run either returns the same numbers or stops.
+    Everything else is fixed: ABS_TOL above, the 0.1 panel cap of
+    `quad.critical_panel_width`, the sigma steps of `argz.s_of_t` and the
+    Euler-Maclaurin cutoff rule below.
     """
 
-    abs_tol: float = 1e-10
-    quad_step_cap: float = 0.1
     # Euler-Maclaurin cutoff rule: N(t) = ceil(|t|/2pi) + margin(t) with
     # margin(t) = max(em_margin_base, ceil(em_margin_scale * sqrt(|t|))).
     # The sqrt term keeps the attainable truncation floor near 1e-11 at
     # desk heights; a flat margin cannot (its floor grows like 1e-3 by
     # t ~ 5e4).
-    em_margin_base: int = 50
-    em_margin_scale: float = 2.0
+    em_margin_base: ClassVar[int] = 50
+    em_margin_scale: ClassVar[float] = 2.0
     eval_tol: float = 1e-5
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise DomainError(f"{f.name} must be a number, got {value!r}")
-        for name in ("abs_tol", "quad_step_cap", "eval_tol"):
-            if not (getattr(self, name) > 0 and math.isfinite(getattr(self, name))):
-                raise DomainError(f"{name} must be positive and finite")
-        if not isinstance(self.em_margin_base, Integral) or self.em_margin_base < 1:
-            raise DomainError("em_margin_base must be an integer >= 1")
-        if not (0 <= self.em_margin_scale < math.inf):
-            raise DomainError("em_margin_scale must be finite and >= 0")
+        value = self.eval_tol
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise DomainError(f"eval_tol must be a number, got {value!r}")
+        if not (value > 0 and math.isfinite(value)):
+            raise DomainError("eval_tol must be positive and finite")
 
-    def em_cutoff(self, t: float) -> int:
+    @classmethod
+    def em_cutoff(cls, t: float) -> int:
         """Euler-Maclaurin main-sum cutoff N for imaginary part t."""
         t = abs(float(t))
-        margin = max(self.em_margin_base, int(math.ceil(self.em_margin_scale * math.sqrt(t))))
+        margin = max(cls.em_margin_base, int(math.ceil(cls.em_margin_scale * math.sqrt(t))))
         return int(math.ceil(t / (2.0 * math.pi))) + margin
 
     def check_eval(self, bound: float, what: str) -> None:

@@ -83,19 +83,19 @@ def _crit_window(T: float, config: PrecisionConfig) -> float:
     step that solved for it (the `ladders._reverse_iterate` memo) under
     the two gates of `second_moment_critical`: Z's accuracy bound at T^1
     and the 1% quadrature gate."""
-    U, window, err = _reverse_iterate(float(T), config)
+    U, window, err = _reverse_iterate(float(T))
     config.check_eval(float(rs_error_bound(U)), f"Z on [{T}, {U}]")
     return check_error(window, err, what="critical2")[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _sigma_window(sigma: float, T: float, config: PrecisionConfig) -> float:
-    return second_moment_sigma(sigma, T, reverse_iterate(T, config), config).value
+    return second_moment_sigma(sigma, T, reverse_iterate(T), config).value
 
 
 @functools.lru_cache(maxsize=None)
-def _s1_window(l: int, T: float, config: PrecisionConfig) -> float:
-    return s1_moment(l, T, reverse_iterate(T, config), config).value
+def _s1_window(l: int, T: float) -> float:
+    return s1_moment(l, T, reverse_iterate(T)).value
 
 
 def quotient_zeta(sigma: float, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
@@ -117,7 +117,7 @@ def quotient_s1(l: int, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> f
         raise DomainError("l must be >= 1")
     if T < 100.0:
         raise DomainError("quotient_s1 requires T >= 100")
-    return _crit_window(T, config) / _s1_window(l, T, config)
+    return _crit_window(T, config) / _s1_window(l, T)
 
 
 def functional_approximant(
@@ -142,7 +142,7 @@ def functional_approximant(
     T = K * (x * tau)
     if T < MIN_IMPLIED_T:
         raise DomainError(f"implied T = {T:.3g} < {MIN_IMPLIED_T}; increase tau")
-    U = reverse_iterate(T, config)
+    U = reverse_iterate(T)
     den = _crit_window(T, config)
     if kind in ("A", "C"):
         num = _sigma_window(sigma, T, config)
@@ -152,13 +152,9 @@ def functional_approximant(
             raise DomainError("kind B requires l")
         if l != cbar.l:
             raise DomainError("cbar estimate was fitted for a different l")
-        num = _s1_window(l, T, config)
+        num = _s1_window(l, T)
         param = float(l)
-    s: SumResult = (
-        fourth_power_sum(T, 2.0 * T, config)
-        if kind == "C"
-        else titchmarsh_sum(T, 2.0 * T, config)
-    )
+    s: SumResult = (fourth_power_sum if kind == "C" else titchmarsh_sum)(T, 2.0 * T)
     value = (num / den) ** 5 * s.value / tau
     return FunctionalApproximant(
         kind=kind,

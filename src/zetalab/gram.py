@@ -9,7 +9,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.special import lambertw
 
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
+from .config import ABS_TOL, DomainError, RootError
 from .zeta import TWO_PI, theta, theta_deriv
 
 
@@ -40,13 +40,14 @@ def _initial_guess(nus: np.ndarray) -> np.ndarray:
     return TWO_PI * (nus + 0.125) / np.real(lambertw(v))
 
 
-def _solve_many(nus: np.ndarray, config: PrecisionConfig) -> np.ndarray:
-    """Newton from the asymptotic inverse, then a last-ulp polish.
+def _solve_many(nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, |theta(t) - pi*nu|): Newton from the asymptotic inverse, then a
+    last-ulp polish.
 
     theta carries ~1 ulp of its own magnitude in noise, so after Newton
     converges we try the neighbouring representable t on the side the
     residual points to, and keep it if its residual is smaller.  The
-    residual gate is abs_tol with a representability floor: once pi*nu
+    residual gate is ABS_TOL with a representability floor: once pi*nu
     grows past ~1e5 the theta values move in steps of several 1e-11 per
     ulp of t, and no double can do better than a few ulp of the target.
     """
@@ -61,31 +62,30 @@ def _solve_many(nus: np.ndarray, config: PrecisionConfig) -> np.ndarray:
     better = cand_r < np.abs(resid)
     best_t = np.where(better, cand, t)
     best_r = np.where(better, cand_r, np.abs(resid))
-    gate = np.maximum(config.abs_tol, 8.0 * np.finfo(float).eps * np.abs(target))
+    gate = np.maximum(ABS_TOL, 8.0 * np.finfo(float).eps * np.abs(target))
     bad = best_r > gate
     if bad.any():
         worst = int(np.argmax(best_r - gate))
         raise RootError(
             f"Gram solve residual {best_r[worst]:.3e} > tolerance at nu={int(nus[worst])}"
         )
-    return best_t
+    return best_t, best_r
 
 
-def gram_point(nu: int, config: PrecisionConfig = DEFAULT_CONFIG) -> GramPoint:
+def gram_point(nu: int) -> GramPoint:
     """The unique root of theta(t) = pi*nu on the increasing branch t > 2pi."""
     if nu < 1:
         raise DomainError("Gram index nu must be >= 1")
-    t = _solve_many(np.array([float(nu)]), config)[0]
-    return GramPoint(nu=int(nu), t=float(t), residual=float(abs(theta(t) - math.pi * nu)))
+    t, r = _solve_many(np.array([float(nu)]))
+    return GramPoint(nu=int(nu), t=float(t[0]), residual=float(r[0]))
 
 
-def gram_points(nu_lo: int, nu_hi: int, config: PrecisionConfig = DEFAULT_CONFIG) -> List[GramPoint]:
+def gram_points(nu_lo: int, nu_hi: int) -> List[GramPoint]:
     """Gram points for the inclusive index range [nu_lo, nu_hi]."""
     if nu_lo < 1 or nu_hi < nu_lo:
         raise DomainError("need 1 <= nu_lo <= nu_hi")
     nus = np.arange(nu_lo, nu_hi + 1, dtype=float)
-    ts = _solve_many(nus, config)
-    res = np.abs(theta(ts) - np.pi * nus)
+    ts, res = _solve_many(nus)
     return [
         GramPoint(nu=int(n), t=float(t), residual=float(r))
         for n, t, r in zip(nus, ts, res)
@@ -102,9 +102,7 @@ def _index_bounds(t_lo: float, t_hi: float) -> Tuple[int, int]:
     return lo, int(math.floor(theta(t_hi) / math.pi)) + 1
 
 
-def gram_range(
-    t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
-) -> GramRange:
+def gram_range(t_lo: float, t_hi: float) -> GramRange:
     """All Gram points with t in the half-open window [t_lo, t_hi).
 
     Index bounds come from theta at the endpoints; the half-open
@@ -115,7 +113,7 @@ def gram_range(
     lo, hi = _index_bounds(t_lo, t_hi)
     if hi < lo:
         return GramRange(t_lo=t_lo, t_hi=t_hi, points=[])
-    pts = gram_points(lo, hi, config)
+    pts = gram_points(lo, hi)
     pts = [p for p in pts if t_lo <= p.t < t_hi]
     return GramRange(t_lo=t_lo, t_hi=t_hi, points=pts)
 

@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
+from .config import ABS_TOL, DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
 from .quad import _gl_inner_gap, critical_panel_width, gauss_panels, panel_sums
 from .zeta import _BLOCK, EULER_GAMMA, hardy_z_many
@@ -47,9 +47,7 @@ class PartitionReport:
     gap_prediction_ratios: List[float]  # gap / ((1-c) T^{r-1} / ln T^{r-1})
 
 
-def _bracket(
-    T: float, target: float, config: PrecisionConfig
-) -> Tuple[float, float, float, float]:
+def _bracket(T: float, target: float) -> Tuple[float, float, float, float]:
     """(base, a, b, base_err): the GL8 panel [a, b] of [T, hi] in which the
     running integral of Z^2 from T first reaches target, the integral over
     [T, a], and its error estimate.
@@ -64,14 +62,14 @@ def _bracket(
     pessimistic one for GL8.
     """
     gap0 = target / math.log(T)
-    width = critical_panel_width(T + 3.0 * gap0, config)
+    width = critical_panel_width(T + 3.0 * gap0)
     inner = _gl_inner_gap(8)
     hi = T + 2.2 * gap0
     for _ in range(8):
         nodes, weights = gauss_panels(T, hi, width, order=8)
         parts, diffs = [], []
         for j in range(0, len(nodes), _BLOCK):
-            z = hardy_z_many(nodes[j : j + _BLOCK], config)
+            z = hardy_z_many(nodes[j : j + _BLOCK])
             wz2 = (z * z * weights[j : j + _BLOCK]).reshape(-1, 8)
             parts.append(wz2.sum(axis=1))
             diffs.append(np.abs((wz2 * inner).sum(axis=1)))
@@ -88,32 +86,32 @@ def _bracket(
 _POLISH_STEPS = 120  # cap on the Newton/bisection polish of T^1
 
 
-def reverse_iterate(T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def reverse_iterate(T: float) -> float:
     """The first reverse iterate T^1 of T (see module docstring).
 
     Bracketed cumulative quadrature from the predicted gap, evaluated
     only up to the panel where it crosses the target (`_bracket`), then a
     safeguarded Newton/bisection polish inside that panel.  The
-    defining-equation residual must come out below abs_tol * T.
+    defining-equation residual must come out below ABS_TOL * T.
     """
     T = float(T)
     if not (T >= 100.0):
         raise DomainError("reverse_iterate requires T >= 100")
-    return _reverse_iterate(T, config)[0]
+    return _reverse_iterate(T)[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _reverse_iterate(T: float, config: PrecisionConfig) -> Tuple[float, float, float]:
+def _reverse_iterate(T: float) -> Tuple[float, float, float]:
     """(T^1, window, window_err): the reverse iterate, the integral of Z^2
     over [T, T^1] that it solved for, base + GL16 on the tail [a, T^1],
     and that integral's error estimate, the bracket's base_err plus
     |GL16 - GL8| on the tail.  T^1 alone is `reverse_iterate`; the window
     is what `functionals._crit_window` reads."""
     target = (1.0 - EULER_GAMMA) * T
-    base, a, b, base_err = _bracket(T, target, config)
+    base, a, b, base_err = _bracket(T, target)
 
     def z2(ts: np.ndarray) -> np.ndarray:
-        z = hardy_z_many(ts, config)
+        z = hardy_z_many(ts)
         return z * z
 
     def tail(u: float, order: int = 16) -> float:
@@ -133,7 +131,7 @@ def _reverse_iterate(T: float, config: PrecisionConfig) -> Tuple[float, float, f
             lo_ = u
         # Newton with derivative Z(u)^2; rejected near zeros of Z or when
         # the step leaves the bracket, falling back to bisection.
-        zu = float(hardy_z_many(np.array([u]), config)[0])
+        zu = float(hardy_z_many(np.array([u]))[0])
         deriv = zu * zu
         u_next = 0.5 * (lo_ + hi_)
         if deriv > 1e-8:
@@ -148,9 +146,9 @@ def _reverse_iterate(T: float, config: PrecisionConfig) -> Tuple[float, float, f
     t16 = tail(u)
     window = base + t16
     resid = abs(window - target)
-    if resid > config.abs_tol * T:
+    if resid > ABS_TOL * T:
         raise RootError(
-            f"reverse_iterate residual {resid:.3e} exceeds abs_tol*T at T={T}"
+            f"reverse_iterate residual {resid:.3e} exceeds ABS_TOL*T at T={T}"
         )
     return u, window, base_err + abs(t16 - tail(u, 8))
 
@@ -164,7 +162,7 @@ def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> 
     slices: List[float] = []
     cur = float(T)
     for _ in range(k):
-        nxt = reverse_iterate(cur, config)
+        nxt = reverse_iterate(cur)
         target = (1.0 - EULER_GAMMA) * cur
         got = second_moment_critical(cur, nxt, config).value
         iterates.append(nxt)

@@ -80,10 +80,10 @@ def second_moment_critical(
         return _finish(t_lo, t_hi, "critical2", None, 0.0, 0.0)
     if t_hi >= RS_CROSSOVER:
         config.check_eval(float(rs_error_bound(t_hi)), f"Z on [{t_lo}, {t_hi}]")
-    width = critical_panel_width(t_hi, config)
+    width = critical_panel_width(t_hi)
 
     def f(ts: np.ndarray) -> np.ndarray:
-        z = hardy_z_many(ts, config)
+        z = hardy_z_many(ts)
         return z * z
 
     value, err = check_error(*integrate_panels(f, t_lo, t_hi, width, order=8), what="critical2")
@@ -95,9 +95,8 @@ def second_moment_sigma(
     t_lo: float,
     t_hi: float,
     config: PrecisionConfig = DEFAULT_CONFIG,
-    eps: float = 0.01,
 ) -> MomentEstimate:
-    """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 1/2 + eps.
+    """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 0.51.
 
     GK21 on the panels of `sigma_panel_runs`: two mean zero gaps wide,
     graded toward the pole.  |zeta|^2 comes from `zeta_abs2_panels`, which
@@ -105,18 +104,18 @@ def second_moment_sigma(
     nodes through a table shared by its run.  quad_error is the
     |K21 - G10| sum.
     """
-    if sigma < 0.5 + eps:
-        raise DomainError(f"sigma must be >= 1/2 + {eps}")
+    if sigma < 0.51:
+        raise DomainError("sigma must be >= 1/2 + 0.01")
     if not (0.0 <= t_lo <= t_hi):
         raise DomainError("need 0 <= t_lo <= t_hi")
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
     if sigma == 1.0 and t_lo == 0.0:
         raise PoleError(f"[{t_lo}, {t_hi}] meets the pole s = 1; the moment diverges")
-    config.check_eval(em_error_bound(sigma, t_hi, config), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
+    config.check_eval(em_error_bound(sigma, t_hi), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
 
     runs = sigma_panel_runs(sigma, t_lo, t_hi)
-    vals = np.concatenate([zeta_abs2_panels(sigma, mids, half, config) for mids, half in runs])
+    vals = np.concatenate([zeta_abs2_panels(sigma, mids, half) for mids, half in runs])
     halves = np.concatenate([np.full(len(mids), half) for mids, half in runs])
     value, err = check_error(*kronrod_sums(vals, halves), what="sigma2")
     return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
@@ -133,16 +132,11 @@ def _split_gaps(edges: np.ndarray) -> np.ndarray:
     return np.append(edges[gap] + gaps[gap] * j / parts[gap], edges[-1])
 
 
-def s1_moment(
-    l: int,
-    t_lo: float,
-    t_hi: float,
-    config: PrecisionConfig = DEFAULT_CONFIG,
-) -> MomentEstimate:
+def s1_moment(l: int, t_lo: float, t_hi: float) -> MomentEstimate:
     """integral of |S1(t)|^{2l} over [t_lo, t_hi].
 
     S1 is piecewise smooth with kinks exactly at the zero ordinates, so
-    panels are the zero gaps (split to the step cap's coarse bound) and
+    panels are the zero gaps (split to less than 2.0 wide) and
     Gauss nodes never straddle a kink.
     """
     if l < 1:
@@ -151,7 +145,7 @@ def s1_moment(
         raise DomainError("need 0 <= t_lo <= t_hi")
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "s1moment", float(l), 0.0, 0.0)
-    ev = shared_s1_evaluator(config)
+    ev = shared_s1_evaluator()
     ev.ensure(t_hi)
     knots = ev.zeros_in(t_lo, t_hi)
     edges = _split_gaps(np.concatenate([[t_lo], knots, [t_hi]]))
@@ -167,7 +161,6 @@ def estimate_cbar(
     l: int,
     T: float,
     H: float,
-    config: PrecisionConfig = DEFAULT_CONFIG,
     cache: Optional["ConstantsCache"] = None,
 ) -> CbarEstimate:
     """Empirical Selberg-moment constant: moment over [T, T+H] divided by H.
@@ -184,11 +177,11 @@ def estimate_cbar(
         raise DomainError(
             f"window constraint violated: need T^{CBAR_WINDOW_EXPONENT} <= H <= T"
         )
-    full = s1_moment(l, T, T + H, config)
+    full = s1_moment(l, T, T + H)
     cbar = full.value / H
     subs = []
     for j in range(4):
-        sub = s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0, config)
+        sub = s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0)
         subs.append(sub.value / (H / 4.0))
     spread = max(abs(c - cbar) for c in subs)
     est = CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))

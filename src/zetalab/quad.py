@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig, PrecisionError
+from .config import DomainError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,13 +40,12 @@ def _gl_inner_gap(order: int) -> np.ndarray:
     return 1.0 - np.concatenate([[0.0], v, [0.0]]) / w
 
 
-def critical_panel_width(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
-    """Panel-width rule for critical-line integrands: no wider than the
-    step cap, and no wider than a quarter of the local zero gap
-    2pi/ln(t/2pi)."""
+def critical_panel_width(t: float) -> float:
+    """Panel-width rule for critical-line integrands: no wider than 0.1,
+    and no wider than a quarter of the local zero gap 2pi/ln(t/2pi)."""
     t = max(float(t), 20.0)
     gap = TWO_PI / math.log(t / TWO_PI)
-    return min(config.quad_step_cap, 0.25 * gap)
+    return min(0.1, 0.25 * gap)
 
 
 def sigma_panel_runs(sigma: float, t_lo: float, t_hi: float) -> List[Tuple[np.ndarray, float]]:
@@ -171,14 +170,12 @@ def kronrod_sums(vals: np.ndarray, half: np.ndarray) -> Tuple[float, float]:
     return math.fsum(kronrod.tolist()), math.fsum(np.abs(kronrod - gauss).tolist())
 
 
-def check_error(
-    value: float, err: float, rel_gate: float = 0.01, what: str = "integral"
-) -> Tuple[float, float]:
+def check_error(value: float, err: float, what: str = "integral") -> Tuple[float, float]:
     """The moments-module acceptance gate: the a-posteriori estimate must
-    stay below rel_gate of the value."""
-    if err > rel_gate * max(abs(value), 1e-300) and err > 1e-12:
+    stay below 1% of the value."""
+    if err > 0.01 * max(abs(value), 1e-300) and err > 1e-12:
         raise PrecisionError(
-            f"{what}: quadrature error {err:.3e} exceeds {rel_gate:.0%} of value {value:.6e}",
+            f"{what}: quadrature error {err:.3e} exceeds 1% of value {value:.6e}",
             achievable=err,
         )
     return value, err

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig
+from .config import DomainError
 from .gram import _index_bounds, _solve_many
 from .zeta import TWO_PI, hardy_z_many
 
@@ -47,22 +47,15 @@ class TrendReport:
 _KINDS = ("pair", "fourth")
 
 
-def _gram_sum(
-    t_lo: float,
-    t_hi: float,
-    kind: str,
-    config: PrecisionConfig,
-) -> SumResult:
+def _gram_sum(t_lo: float, t_hi: float, kind: str) -> SumResult:
     """The pair or fourth-power sum over [t_lo, t_hi)."""
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("sum window requires 2*pi < t_lo < t_hi")
-    return _gram_window(float(t_lo), float(t_hi), config)[_KINDS.index(kind)]
+    return _gram_window(float(t_lo), float(t_hi))[_KINDS.index(kind)]
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_window(
-    t_lo: float, t_hi: float, config: PrecisionConfig
-) -> Tuple[SumResult, SumResult]:
+def _gram_window(t_lo: float, t_hi: float) -> Tuple[SumResult, SumResult]:
     """The (pair, fourth) sums over [t_lo, t_hi), memoised together: both
     kinds share the window's Gram points and Z values, so one solve and
     one Z evaluation serve both.
@@ -72,11 +65,11 @@ def _gram_window(
     terms = 0
     if hi >= lo:
         # one index past the window for the pair's last factor
-        ts = _solve_many(np.arange(lo, hi + 2, dtype=float), config)
+        ts, _ = _solve_many(np.arange(lo, hi + 2, dtype=float))
         inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
         terms = len(inside)
         if terms:
-            z = hardy_z_many(ts[inside[0] : inside[-1] + 2], config)
+            z = hardy_z_many(ts[inside[0] : inside[-1] + 2])
             z2 = z ** 2
             values["pair"] = math.fsum((z2[:-1] * z2[1:]).tolist())
             values["fourth"] = math.fsum((z[:-1] ** 4).tolist())
@@ -92,25 +85,17 @@ def _gram_window(
     return tuple(results)
 
 
-def titchmarsh_sum(
-    t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
-) -> SumResult:
+def titchmarsh_sum(t_lo: float, t_hi: float) -> SumResult:
     """sum of Z^2(t_nu) Z^2(t_{nu+1}) over Gram indices with t_nu in [t_lo, t_hi)."""
-    return _gram_sum(t_lo, t_hi, "pair", config)
+    return _gram_sum(t_lo, t_hi, "pair")
 
 
-def fourth_power_sum(
-    t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
-) -> SumResult:
+def fourth_power_sum(t_lo: float, t_hi: float) -> SumResult:
     """sum of Z^4(t_nu) over Gram indices with t_nu in [t_lo, t_hi)."""
-    return _gram_sum(t_lo, t_hi, "fourth", config)
+    return _gram_sum(t_lo, t_hi, "fourth")
 
 
-def verify_asymptotic_trend(
-    kind: str,
-    heights: Sequence[float],
-    config: PrecisionConfig = DEFAULT_CONFIG,
-) -> TrendReport:
+def verify_asymptotic_trend(kind: str, heights: Sequence[float]) -> TrendReport:
     """Ratios r(T) over [T, 2T) plus the fitted |r-1| ln T sequence.
 
     PASS means |r-1| does not increase from the second-highest to the
@@ -123,7 +108,7 @@ def verify_asymptotic_trend(
         raise DomainError("need at least 3 strictly increasing heights")
     ratios = []
     for T in hs:
-        res = _gram_sum(T, 2.0 * T, kind, config)
+        res = _gram_sum(T, 2.0 * T, kind)
         assert res.ratio is not None
         ratios.append(res.ratio)
     fitted = [abs(r - 1.0) * math.log(T) for r, T in zip(ratios, hs)]

@@ -13,17 +13,17 @@ import numpy as np
 from scipy.special import zeta as real_zeta
 
 from . import argz, functionals, gram as gram_mod, ladders, moments, sums
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig
+from .config import ABS_TOL, DEFAULT_CONFIG, DomainError, PrecisionConfig
 from .zeta import EULER_GAMMA
 
 Check = Tuple[str, bool, str]
 
 
-def asymptotics(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -> List[Check]:
+def asymptotics(heights: Sequence[float]) -> List[Check]:
     """Pair and fourth-power sum ratios in [0.4, 1.6], and the |r-1| trend."""
     checks = []
     for kind in ("pair", "fourth"):
-        rep = sums.verify_asymptotic_trend(kind, heights, config)
+        rep = sums.verify_asymptotic_trend(kind, heights)
         for T, r in zip(rep.heights, rep.ratios):
             checks.append((f"{kind}-band-T={T:g}", 0.4 <= r <= 1.6, f"ratio={r:.4f}"))
         checks.append((f"{kind}-trend", rep.passed,
@@ -32,23 +32,23 @@ def asymptotics(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONF
     return checks
 
 
-def gram(nu_max: int, config: PrecisionConfig = DEFAULT_CONFIG) -> List[Check]:
-    """Gram points 1..nu_max increase and solve theta(t) = nu*pi to abs_tol."""
-    pts = gram_mod.gram_points(1, nu_max, config)
+def gram(nu_max: int) -> List[Check]:
+    """Gram points 1..nu_max increase and solve theta(t) = nu*pi to ABS_TOL."""
+    pts = gram_mod.gram_points(1, nu_max)
     worst = max(p.residual for p in pts)
     mono = all(b.t > a.t for a, b in zip(pts, pts[1:]))
-    return [("gram-residuals", worst <= config.abs_tol, f"worst={worst:.3e}"),
+    return [("gram-residuals", worst <= ABS_TOL, f"worst={worst:.3e}"),
             ("gram-monotone", mono, f"nu<={nu_max}")]
 
 
-def branch(n_heights: int, seed: int, config: PrecisionConfig = DEFAULT_CONFIG) -> List[Check]:
+def branch(n_heights: int, seed: int) -> List[Check]:
     """At random t in [10, 1e4], N(t) is an integer to 1e-8 and matches the zero scan."""
     if n_heights < 1:
         raise DomainError("n_heights must be >= 1")
     hs = 10.0 + np.random.default_rng(seed).random(n_heights) * (1e4 - 10.0)
-    ev = argz.shared_s1_evaluator(config)
+    ev = argz.shared_s1_evaluator()
     ev.ensure(float(hs.max()) + 1.0)
-    traces = [argz.s_of_t(float(t), config) for t in hs]
+    traces = [argz.s_of_t(float(t)) for t in hs]
     worst = max(tr.branch_residual for tr in traces)
     count_ok = all(tr.zero_count == ev.zeros_cache.count_below(tr.t) for tr in traces)
     return [("branch-integrality", worst <= 1e-8, f"worst residual={worst:.3e}"),
@@ -61,12 +61,10 @@ def ladder(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -
         raise DomainError("the ladder suite needs at least one height")
     checks = []
     for T in heights:
-        U = ladders.reverse_iterate(T, config)
-        got = moments.second_moment_critical(T, U, config).value
-        target = (1.0 - EULER_GAMMA) * T
-        gap_pred = target / math.log(T)
-        checks.append((f"ladder-residual-T={T:g}", abs(got - target) <= 1e-6 * T,
-                       f"resid={abs(got - target):.3e}"))
+        chain = ladders.ladder_chain(T, 1, config)
+        U, resid = chain.iterates[0], chain.residuals[0]
+        gap_pred = (1.0 - EULER_GAMMA) * T / math.log(T)
+        checks.append((f"ladder-residual-T={T:g}", resid <= 1e-6 * T, f"resid={resid:.3e}"))
         checks.append((f"ladder-gap-T={T:g}", 0.8 <= (U - T) / gap_pred <= 1.2,
                        f"gap/pred={(U - T) / gap_pred:.4f}"))
     return checks
@@ -83,7 +81,7 @@ def quotients(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG
         check = qz * float(real_zeta(2.0)) / math.log(T)
         checks.append((f"quotient-zeta-T={T:g}", 0.85 <= check <= 1.15,
                        f"normalized={check:.4f}"))
-        est = moments.estimate_cbar(1, T, max(T ** 0.6, T / 10.0), config, cache=cache)
+        est = moments.estimate_cbar(1, T, max(T ** 0.6, T / 10.0), cache=cache)
         qs = functionals.quotient_s1(1, T, config)
         s_check = qs * est.cbar / math.log(T)
         checks.append((f"quotient-s1-T={T:g}", 0.7 <= s_check <= 1.3,

@@ -252,20 +252,19 @@ def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
     return main + sign * _rs_correction(p, tau) / np.sqrt(tau)
 
 
-def _hardy_z_em_block(ts: np.ndarray, config: PrecisionConfig) -> np.ndarray:
+def _hardy_z_em_block(ts: np.ndarray) -> np.ndarray:
     """Z below the crossover: real part of e^{i theta} zeta_EM(1/2+it)."""
-    vals = _zeta_em_block(np.full_like(ts, 0.5), ts, config)
+    vals = _zeta_em_block(np.full_like(ts, 0.5), ts)
     th = theta(ts)
     return np.real(np.exp(1j * th) * vals)
 
 
-def hardy_z_many(t, config: PrecisionConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hardy_z_many(t) -> np.ndarray:
     """Vectorized Z(t); fixed blocking, t in any order."""
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     out = np.empty_like(ts)
     lo = ts < RS_CROSSOVER
-    for mask, kernel in ((lo, lambda b: _hardy_z_em_block(b, config)),
-                         (~lo, _hardy_z_rs_block)):
+    for mask, kernel in ((lo, _hardy_z_em_block), (~lo, _hardy_z_rs_block)):
         idx = np.nonzero(mask)[0]
         for i in range(0, len(idx), _BLOCK):
             blk = idx[i : i + _BLOCK]
@@ -283,7 +282,7 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
     _as_height_array(tf)
     if tf >= RS_CROSSOVER:
         config.check_eval(float(rs_error_bound(tf)), f"Z({tf})")
-    return float(hardy_z_many(np.array([tf]), config)[0])
+    return float(hardy_z_many(np.array([tf]))[0])
 
 
 # ----------------------------------------------------------------------
@@ -436,11 +435,9 @@ def _em_main_sum(sigmas: np.ndarray, ts: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def _zeta_em_block(
-    sigmas: np.ndarray, ts: np.ndarray, config: PrecisionConfig
-) -> np.ndarray:
+def _zeta_em_block(sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """EM for one block of points; cutoff set by the block's largest t."""
-    N = config.em_cutoff(float(ts.max()) if len(ts) else 0.0)
+    N = PrecisionConfig.em_cutoff(float(ts.max()) if len(ts) else 0.0)
     return _em_remainder(_em_main_sum(sigmas, ts, N), sigmas + 1j * ts, N)
 
 
@@ -480,13 +477,13 @@ def em_roundoff_bound(t: float, N: int) -> float:
     return 4e-16 * (1.0 + abs(float(t))) * math.log(N + 2.0)
 
 
-def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def em_error_bound(sigma: float, t: float) -> float:
     """A-posteriori bound for one EM evaluation: first omitted Bernoulli
     term times the standard |s+2K+1|/(sigma+2K+1) factor, plus a phase
     round-off floor eps*t*ln N."""
     t = abs(float(t))
     s = complex(sigma, t)
-    N = float(config.em_cutoff(t))
+    N = float(PrecisionConfig.em_cutoff(t))
     term = abs((1.0 / 12.0) * s * N ** (-sigma - 1.0))
     k = 1
     while k < _EM_MAX_BERNOULLI:
@@ -501,8 +498,8 @@ def em_error_bound(sigma: float, t: float, config: PrecisionConfig = DEFAULT_CON
 
 
 def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
-    """zeta(sigma+it) for sigma > 0, s != 1, to the accuracy of the
-    Euler-Maclaurin policy in `config`.
+    """zeta(sigma+it) for sigma > 0, s != 1, by the fixed Euler-Maclaurin
+    policy; the a-posteriori bound must stay below config.eval_tol.
 
     On the critical line above the Z crossover the value is reassembled
     from the Riemann-Siegel Z, which callers should prefer anyway.
@@ -520,23 +517,21 @@ def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
     if s.real == 0.5 and s.imag >= RS_CROSSOVER:
         config.check_eval(float(rs_error_bound(s.imag)), f"Z({s.imag})")
     else:
-        config.check_eval(em_error_bound(s.real, s.imag, config), f"zeta({s})")
-    return _zeta_point(s.real, s.imag, config)
+        config.check_eval(em_error_bound(s.real, s.imag), f"zeta({s})")
+    return _zeta_point(s.real, s.imag)
 
 
-def _zeta_point(sigma: float, t: float, config: PrecisionConfig) -> complex:
+def _zeta_point(sigma: float, t: float) -> complex:
     """zeta(sigma+it) at one point, t >= 0, without the accuracy gate:
     reassembled from Z on the critical line above the crossover,
     Euler-Maclaurin elsewhere."""
     if sigma == 0.5 and t >= RS_CROSSOVER:
-        z = float(hardy_z_many(np.array([t]), config)[0])
+        z = float(hardy_z_many(np.array([t]))[0])
         return z * complex(np.exp(-1j * theta(t)))
-    return complex(_zeta_em_block(np.array([sigma]), np.array([t]), config)[0])
+    return complex(_zeta_em_block(np.array([sigma]), np.array([t]))[0])
 
 
-def zeta_abs2_line(
-    sigma: float, t, config: PrecisionConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def zeta_abs2_line(sigma: float, t) -> np.ndarray:
     """|zeta(sigma+it)|^2 for an array of heights on one sigma-line.
 
     Euler-Maclaurin at every point, one cutoff per block of _BLOCK
@@ -545,21 +540,19 @@ def zeta_abs2_line(
     """
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     if sigma == 0.5:
-        z = hardy_z_many(ts, config)
+        z = hardy_z_many(ts)
         return z * z
     if sigma <= 0.0:
         raise DomainError("sigma-line evaluations require sigma > 0")
     out = np.empty(len(ts))
     for i in range(0, len(ts), _BLOCK):
         blk = slice(i, min(i + _BLOCK, len(ts)))
-        vals = _zeta_em_block(np.full(blk.stop - blk.start, float(sigma)), ts[blk], config)
+        vals = _zeta_em_block(np.full(blk.stop - blk.start, float(sigma)), ts[blk])
         out[blk] = np.abs(vals) ** 2
     return out
 
 
-def zeta_abs2_panels(
-    sigma: float, mids, half: float, config: PrecisionConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def zeta_abs2_panels(sigma: float, mids, half: float) -> np.ndarray:
     """|zeta(sigma+it)|^2 at the GK21 nodes t = mids[k] + half * x_j of
     equal-width panels, shaped (len(mids), 21).
 
@@ -580,7 +573,7 @@ def zeta_abs2_panels(
     for i in range(0, len(mids), step):
         m = mids[i : i + step]
         ts = m[None, :] + offsets[:, None]  # (node, panel)
-        N = config.em_cutoff(float(ts.max()))
+        N = PrecisionConfig.em_cutoff(float(ts.max()))
         _, u = next(_em_rows(np.zeros(len(offsets)), offsets, N))
         main = np.zeros(ts.shape, dtype=complex)
         for sub, v in _em_rows(np.full(len(m), float(sigma)), m, N):

@@ -8,7 +8,9 @@ leaves behind.  Installing it patches the package in place, so it runs in
 a fresh interpreter here, with three small traced ops.  The verify op
 fails its bands by design (exit 3); it shows that zetalab.verify, which
 the tracer does not wrap, still reaches the package through the module
-attributes that the tracer patches.
+attributes that the tracer patches.  No op reaches zeta_abs2_line, whose
+hook reads the Euler-Maclaurin margins from DEFAULT_CONFIG, so the child
+calls it directly.
 """
 
 import json
@@ -41,6 +43,8 @@ tr = tracer.install()
 import zetalab.cli
 codes = [zetalab.cli.main(argv + ["--manifest", "m.jsonl", "--cache-dir", "cache"])
          for argv in json.loads(sys.argv[1])]
+# no op reaches the sigma-line kernel's hook, which reads the EM margins
+importlib.import_module("zetalab.zeta").zeta_abs2_line(1.0, [100.0, 200.0])
 print(json.dumps({"not_plain": not_plain, "codes": codes, "report": tr.report()}))
 """
 
@@ -63,5 +67,6 @@ def test_tracer_installs_and_its_hooks_see_live_calls(tmp_path):
     assert report["moments.second_moment_critical.calls"] == 2
     assert report.get("sums.verify_asymptotic_trend.calls", 0) == 2
     for count in ("ladders.reverse_iterate.bracket_tries", "zeta.hardy_z_many.points",
-                  "quad.integrate_panels.panels", "manifest.write_csv.bytes", "cli.cpu_s"):
+                  "quad.integrate_panels.panels", "manifest.write_csv.bytes", "cli.cpu_s",
+                  "zeta.zeta_abs2_line.em_terms"):
         assert report.get(count, 0) > 0, count

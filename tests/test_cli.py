@@ -89,9 +89,10 @@ class TestExitCodes:
 
 class TestBadInputsExit2:
     @pytest.mark.parametrize("text", [
-        None, "{", '{"abs_tol": "x"}', '{"em_margin_scale": Infinity}',
-        '{"em_margin_base": 1e9}', '{"eval_tol": NaN}', "[1]",
-    ], ids=["missing", "bad-json", "string", "inf-scale", "float-base", "nan-tol", "list"])
+        None, "{", '{"eval_tol": "x"}', '{"eval_tol": Infinity}', '{"eval_tol": -1}',
+        '{"eval_tol": true}', '{"eval_tol": NaN}', "[1]",
+    ], ids=["missing", "bad-json", "string", "inf-tol", "negative-tol", "bool-tol", "nan-tol",
+            "list"])
     def test_bad_config(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         if text is not None:
@@ -99,6 +100,15 @@ class TestBadInputsExit2:
         code, out, _ = run_cli(["z", "--t", "100", "--config", str(cfg)], tmp_path)
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("field", ["abs_tol", "quad_step_cap", "em_margin_base",
+                                       "em_margin_scale"])
+    def test_fixed_constants_are_not_config_fields(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: 1}))
+        code, out, _ = run_cli(["z", "--t", "100", "--config", str(cfg)], tmp_path)
+        assert code == 2 and not out.exists()
+        assert "unknown PrecisionConfig fields" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
@@ -159,6 +169,30 @@ class TestBadInputsExit2:
         assert code == 2 and not out.exists() and not manifest.exists()
         flag = argv[-2]
         assert f"error: argument {flag}: " in capsys.readouterr().err
+
+
+class TestConfig:
+    """eval_tol, the one config field, is a gate: a run under a looser one
+    returns the same bytes as under the default, or none at all."""
+
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "6,7"],
+        ["cbar", "--l", "1", "--T", "200", "--H", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_eval_tol_moves_no_value(self, tmp_path, argv):
+        from zetalab import functionals, ladders, sums
+
+        cfg = tmp_path / "loose.json"
+        cfg.write_text(json.dumps({"eval_tol": 1e-4}))
+        outs = []
+        for extra, name in (([], "default.csv"), (["--config", str(cfg)], "loose.csv")):
+            for memo in (ladders._reverse_iterate, functionals._sigma_window,
+                         functionals._s1_window, sums._gram_window):
+                memo.cache_clear()
+            code, out, _ = run_cli(argv + extra, tmp_path, name)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestFermatCommand:
@@ -313,7 +347,7 @@ class TestManifest:
         rec = json.loads(manifest.read_text().splitlines()[-1])
         digest = rec["outputs"][str(out)]
         assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
-        assert rec["config"]["abs_tol"] == 1e-10
+        assert rec["config"] == {"eval_tol": 1e-5}
         assert rec["argv"][0] == "sum" or "sum" in rec["argv"]
 
     def test_append_only(self, tmp_path):

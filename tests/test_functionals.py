@@ -146,7 +146,7 @@ class TestCriticalWindow:
 
     @pytest.mark.parametrize("T", [1e3, 2.5e3, 1e4, 5e4])
     def test_window_matches_independent_integrations(self, T):
-        U, window, err = ladders._reverse_iterate(T, DEFAULT_CONFIG)
+        U, window, err = ladders._reverse_iterate(T)
         assert functionals._crit_window(T, DEFAULT_CONFIG) == window
         est = second_moment_critical(T, reverse_iterate(T))
         assert abs(window - est.value) <= est.quad_error
@@ -161,9 +161,9 @@ class TestCriticalWindow:
         # for the pair sum; integrating the window again took 118,680 more
         points = {}
         for mod in (ladders, moments, sums):
-            def counting_z(t, config=DEFAULT_CONFIG, z=mod.hardy_z_many, name=mod.__name__):
+            def counting_z(t, z=mod.hardy_z_many, name=mod.__name__):
                 points[name] = points.get(name, 0) + len(t)
-                return z(t, config)
+                return z(t)
 
             monkeypatch.setattr(mod, "hardy_z_many", counting_z)
         for memo in (ladders._reverse_iterate, functionals._sigma_window, sums._gram_window):
@@ -179,7 +179,7 @@ class TestCriticalWindow:
             quotient_zeta(1.0, 1e3, PrecisionConfig(eval_tol=1e-18))
 
     def test_quadrature_gate(self, monkeypatch):
-        monkeypatch.setattr(functionals, "_reverse_iterate", lambda T, config: (T + 1.0, 1.0, 0.02))
+        monkeypatch.setattr(functionals, "_reverse_iterate", lambda T: (T + 1.0, 1.0, 0.02))
         with pytest.raises(PrecisionError, match="critical2"):
             functionals._crit_window(1e3, DEFAULT_CONFIG)
 

@@ -16,7 +16,6 @@ from zetalab import (
     gram_range,
     theta,
 )
-from zetalab.config import DEFAULT_CONFIG
 from zetalab.cli import main
 from zetalab.gram import _initial_guess, _solve_many
 from zetalab.zeta import theta_deriv
@@ -80,13 +79,22 @@ class TestPolish:
     def test_one_step_matches_the_scan(self):
         # nu from 1 up, plus a block past the representability floor
         nus = np.concatenate([np.arange(1.0, 20001.0), np.arange(2e5, 2.05e5)])
-        new = _solve_many(nus, DEFAULT_CONFIG)
+        new, _ = _solve_many(nus)
         old = _scan_polish_reference(nus)
         target = np.pi * nus
         gate = np.maximum(1e-10, 8.0 * np.finfo(float).eps * target)
         assert np.all(np.abs(theta(new) - target) <= gate)
         assert np.all(np.abs(theta(old) - target) <= gate)
         assert np.all(np.abs(new - old) <= 6.0 * np.spacing(old))
+
+    def test_solve_returns_the_residual_of_its_point(self):
+        # the residual the solve kept is |theta(t) - pi nu| recomputed, bit for bit
+        nus = np.arange(1.0, 20001.0)
+        ts, res = _solve_many(nus)
+        assert np.array_equal(res, np.abs(theta(ts) - np.pi * nus))
+        for nu in (1, 2, 77, 10000, 20000):
+            p = gram_point(nu)
+            assert p.residual == abs(theta(p.t) - math.pi * nu)
 
 
 class TestGramRange:

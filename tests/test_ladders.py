@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zetalab import (
-    DEFAULT_CONFIG,
     DomainError,
     EULER_GAMMA,
     hardy_z_many,
@@ -72,7 +71,7 @@ class TestReverseIterate:
     @pytest.mark.parametrize("T", [100.0, 1e3, 1e4, 10494.420514083624, 2e4])
     def test_bracket_equals_the_full_range_reference(self, T):
         target = (1.0 - EULER_GAMMA) * T
-        assert ladders._bracket(T, target, DEFAULT_CONFIG) == _full_range_bracket(T)
+        assert ladders._bracket(T, target) == _full_range_bracket(T)
 
     def test_inner_rule_weights(self):
         # the six inner GL8 nodes carry the positive interpolatory weights
@@ -90,9 +89,9 @@ class TestReverseIterate:
         points = []
         z = ladders.hardy_z_many
 
-        def counting_z(t, config=DEFAULT_CONFIG):
+        def counting_z(t):
             points.append(len(t))
-            return z(t, config)
+            return z(t)
 
         monkeypatch.setattr(ladders, "hardy_z_many", counting_z)
         ladders._reverse_iterate.cache_clear()

@@ -18,6 +18,7 @@ from zetalab import (
     EULER_GAMMA,
     PoleError,
     estimate_cbar,
+    hardy_z_many,
     reverse_iterate,
     s1_moment,
     second_moment_critical,
@@ -25,7 +26,7 @@ from zetalab import (
     shared_s1_evaluator,
 )
 from zetalab.moments import _split_gaps
-from zetalab.quad import gauss_panels, sigma_panel_runs
+from zetalab.quad import gauss_panels, integrate_panels, sigma_panel_runs
 from zetalab.zeta import _BLOCK, zeta_abs2_line
 
 zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
@@ -55,11 +56,9 @@ class TestCritical2:
 
     def test_resolution_stability(self):
         # halving the panel width moves the value by far less than 0.5%
-        from zetalab.config import PrecisionConfig
-
         est1 = second_moment_critical(1000.0, 1100.0)
-        est2 = second_moment_critical(1000.0, 1100.0, PrecisionConfig(quad_step_cap=0.05))
-        assert abs(est2.value - est1.value) <= 5e-3 * est1.value
+        ref, _ = integrate_panels(lambda t: hardy_z_many(t) ** 2, 1000.0, 1100.0, width=0.05)
+        assert abs(ref - est1.value) <= 5e-3 * est1.value
 
     def test_rejects_reversed(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.special import loggamma
 
 from zetalab import (
-    DEFAULT_CONFIG,
     DomainError,
     PoleError,
     PrecisionConfig,
@@ -206,7 +205,7 @@ class TestLineKernel:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_sum(self, sigma, t, cutoff, above):
-        N = DEFAULT_CONFIG.em_cutoff(t)
+        N = PrecisionConfig.em_cutoff(t)
         if cutoff == "prime":
             N = _next_prime(N) + above
         elif cutoff == "power of 2":
@@ -249,11 +248,10 @@ class TestLineKernel:
     @settings(max_examples=40, deadline=None)
     def test_one_point_tail_matches_block(self, sigma, t):
         # a one-point block runs the Bernoulli tail in Python scalars
-        cfg = DEFAULT_CONFIG
-        one = _zeta_em_block(np.array([sigma]), np.array([t]), cfg)[0]
-        two = _zeta_em_block(np.full(2, sigma), np.full(2, t), cfg)
+        one = _zeta_em_block(np.array([sigma]), np.array([t]))[0]
+        two = _zeta_em_block(np.full(2, sigma), np.full(2, t))
         assert two[0] == two[1]
-        assert abs(one - two[0]) <= em_roundoff_bound(t, cfg.em_cutoff(t))
+        assert abs(one - two[0]) <= em_roundoff_bound(t, PrecisionConfig.em_cutoff(t))
 
     @staticmethod
     def _csv_at_jobs_1_and_2(args, tmp_path, monkeypatch):
