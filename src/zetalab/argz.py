@@ -337,6 +337,7 @@ class S1Evaluator:
 
     _THETA_PANEL = 2.0
     _THETA_ORDER = 16
+    _THETA_BLOCK = 4096  # query points per GL16 call, so its arrays stay small
 
     def __init__(self):
         self.zeros_cache = ZeroCache()
@@ -367,7 +368,10 @@ class S1Evaluator:
 
     def _theta_integral(self, tab: _S1Tables, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(tab.edges, t, side="right") - 1, 0, len(tab.edges) - 2)
-        return tab.theta_prefix[i] + panel_sums(theta, tab.edges[i], t, self._THETA_ORDER)
+        lo, n = tab.edges[i], self._THETA_BLOCK
+        return tab.theta_prefix[i] + np.concatenate([
+            panel_sums(theta, lo[j:j + n], t[j:j + n], self._THETA_ORDER)
+            for j in range(0, max(len(t), 1), n)])
 
     def value_many(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -54,6 +54,7 @@ def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], why: str):
 
 _nonempty_float_list = _checked(_float_list, bool, "expected at least one number")
 _positive_int = _checked(int, lambda n: n >= 1, "must be >= 1")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
 def _flag(*names: str, **kw: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
@@ -114,7 +115,9 @@ def _need_cbar(args, cache: ConstantsCache, manifest: RunManifest) -> CbarEstima
 
 
 def _pmap(jobs: int, fn, items: Sequence):
-    """Order-preserving parallel map; results identical at any jobs value."""
+    """Order-preserving parallel map.  Results are identical at any jobs
+    value, except where they read the S1 tables, whose round-off depends on
+    the highest height asked for so far (ROADMAP item 1)."""
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -264,7 +267,7 @@ _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
           _flag("--heights", type=_float_list, default=[1e3, 5e3, 2e4]),
           _flag("--nu-max", type=int, default=20000),
           _flag("--n-heights", type=int, default=25),
-          _flag("--seed", type=int, default=20260809))
+          _flag("--seed", type=_nonnegative_int, default=20260809))
 def _verify(args, config, cache, manifest):
     checks = _SUITES[args.suite](args, config, cache)
     return (["check", "status", "detail"],

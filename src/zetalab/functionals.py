@@ -25,7 +25,7 @@ from scipy.special import zeta as real_zeta
 
 from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PrecisionConfig
 from .ladders import _reverse_iterate, reverse_iterate
-from .moments import CbarEstimate, s1_moment, second_moment_sigma
+from .moments import CbarEstimate, check_sigma, s1_moment, second_moment_sigma
 from .quad import check_error
 from .sums import SumResult, fourth_power_sum, titchmarsh_sum
 from .zeta import rs_error_bound
@@ -62,20 +62,20 @@ class ChainReport:
 def substitution_constant(
     kind: str, sigma: Optional[float] = None, cbar: Optional[CbarEstimate] = None
 ) -> float:
-    """The K of T = K * x * tau for each functional kind."""
-    if kind == "A":
-        if sigma is None:
-            raise DomainError("kind A needs sigma")
-        return 4.0 * math.pi ** 5 / (3.0 * float(real_zeta(2.0 * sigma)) ** 5)
+    """The K of T = K * x * tau for each functional kind; kinds A and C
+    check sigma against the sigma-line moment's domain first."""
     if kind == "B":
         if cbar is None:
             raise CacheMissError("kind B needs a cached CbarEstimate")
         return 4.0 * math.pi ** 5 / (3.0 * cbar.cbar ** 5)
-    if kind == "C":
-        if sigma is None:
-            raise DomainError("kind C needs sigma")
-        return 4.0 * math.pi ** 3 / float(real_zeta(2.0 * sigma)) ** 5
-    raise DomainError(f"unknown functional kind {kind!r}")
+    if kind not in ("A", "C"):
+        raise DomainError(f"unknown functional kind {kind!r}")
+    if sigma is None:
+        raise DomainError(f"kind {kind} needs sigma")
+    check_sigma(sigma)
+    if kind == "A":
+        return 4.0 * math.pi ** 5 / (3.0 * float(real_zeta(2.0 * sigma)) ** 5)
+    return 4.0 * math.pi ** 3 / float(real_zeta(2.0 * sigma)) ** 5
 
 
 def _crit_window(T: float, config: PrecisionConfig) -> float:
@@ -103,8 +103,7 @@ def quotient_zeta(sigma: float, T: float, config: PrecisionConfig = DEFAULT_CONF
 
     Compare against ln T / zeta(2 sigma).
     """
-    if sigma < 0.51:
-        raise DomainError("quotient_zeta requires sigma >= 1/2 + 0.01")
+    check_sigma(sigma)
     if T < 100.0:
         raise DomainError("quotient_zeta requires T >= 100")
     return _crit_window(T, config) / _sigma_window(sigma, T, config)

@@ -94,10 +94,7 @@ def reverse_iterate(T: float) -> float:
     safeguarded Newton/bisection polish inside that panel.  The
     defining-equation residual must come out below ABS_TOL * T.
     """
-    T = float(T)
-    if not (T >= 100.0):
-        raise DomainError("reverse_iterate requires T >= 100")
-    return _reverse_iterate(T)[0]
+    return _reverse_iterate(float(T))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,7 +103,9 @@ def _reverse_iterate(T: float) -> Tuple[float, float, float]:
     over [T, T^1] that it solved for, base + GL16 on the tail [a, T^1],
     and that integral's error estimate, the bracket's base_err plus
     |GL16 - GL8| on the tail.  T^1 alone is `reverse_iterate`; the window
-    is what `functionals._crit_window` reads."""
+    is what `functionals._crit_window` reads.  T must be finite and >= 100."""
+    if not (100.0 <= T < math.inf):
+        raise DomainError("reverse_iterate requires finite T >= 100")
     target = (1.0 - EULER_GAMMA) * T
     base, a, b, base_err = _bracket(T, target)
 

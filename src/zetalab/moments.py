@@ -22,7 +22,7 @@ import numpy as np
 from .argz import shared_s1_evaluator
 from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
 from .quad import (
-    _integrate_halving, check_error, critical_panel_width, integrate_panels, kronrod_sums,
+    _GK_X, _nodes, check_error, critical_panel_width, integrate_panels, kronrod_sums,
     sigma_panel_runs,
 )
 from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_panels
@@ -70,12 +70,22 @@ def _finish(t_lo: float, t_hi: float, kind: str, param, value: float, err: float
     )
 
 
+def _check_window(t_lo: float, t_hi: float) -> None:
+    if not (0.0 <= t_lo <= t_hi < math.inf):
+        raise DomainError("need 0 <= t_lo <= t_hi < inf")
+
+
+def check_sigma(sigma: float) -> None:
+    """The domain of the sigma-line moment: finite sigma >= 1/2 + 0.01."""
+    if not (0.51 <= sigma < math.inf):
+        raise DomainError("sigma must be finite and >= 1/2 + 0.01")
+
+
 def second_moment_critical(
     t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
 ) -> MomentEstimate:
     """Hardy-Littlewood integral of Z(t)^2 over [t_lo, t_hi]."""
-    if not (0.0 <= t_lo <= t_hi):
-        raise DomainError("need 0 <= t_lo <= t_hi")
+    _check_window(t_lo, t_hi)
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "critical2", None, 0.0, 0.0)
     if t_hi >= RS_CROSSOVER:
@@ -104,10 +114,8 @@ def second_moment_sigma(
     nodes through a table shared by its run.  quad_error is the
     |K21 - G10| sum.
     """
-    if sigma < 0.51:
-        raise DomainError("sigma must be >= 1/2 + 0.01")
-    if not (0.0 <= t_lo <= t_hi):
-        raise DomainError("need 0 <= t_lo <= t_hi")
+    check_sigma(sigma)
+    _check_window(t_lo, t_hi)
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
     if sigma == 1.0 and t_lo == 0.0:
@@ -136,24 +144,20 @@ def s1_moment(l: int, t_lo: float, t_hi: float) -> MomentEstimate:
     """integral of |S1(t)|^{2l} over [t_lo, t_hi].
 
     S1 is piecewise smooth with kinks exactly at the zero ordinates, so
-    panels are the zero gaps (split to less than 2.0 wide) and
-    Gauss nodes never straddle a kink.
+    panels are the zero gaps (split to less than 2.0 wide) and nodes never
+    straddle a kink.  GK21 on each panel, all nodes in one `value_many`
+    call; quad_error is the |K21 - G10| sum.
     """
     if l < 1:
         raise DomainError("l must be >= 1")
-    if not (0.0 <= t_lo <= t_hi):
-        raise DomainError("need 0 <= t_lo <= t_hi")
+    _check_window(t_lo, t_hi)
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "s1moment", float(l), 0.0, 0.0)
     ev = shared_s1_evaluator()
-    ev.ensure(t_hi)
-    knots = ev.zeros_in(t_lo, t_hi)
-    edges = _split_gaps(np.concatenate([[t_lo], knots, [t_hi]]))
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        return np.abs(ev.value_many(ts)) ** (2 * l)
-
-    value, err = check_error(*_integrate_halving(f, edges, 10), what="s1moment")
+    edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
+    nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
+    vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
+    value, err = check_error(*kronrod_sums(vals, half), what="s1moment")
     return _finish(t_lo, t_hi, "s1moment", float(l), value, err)
 
 
@@ -167,23 +171,21 @@ def estimate_cbar(
 
     Enforces the window constraint T^a <= H <= T (a = 0.6), reports the
     spread across four equal sub-windows, and persists the estimate to
-    the constants cache (the default one honours $ZLAB_CACHE_DIR).
+    the constants cache (the default one honours $ZLAB_CACHE_DIR).  The
+    whole-window call prepares the S1 tables up to T + H, so the four
+    sub-windows read the same table generation.
     """
     if l < 1:
         raise DomainError("l must be >= 1")
-    if not (T > 0 and H > 0):
-        raise DomainError("T and H must be positive")
+    if not (0 < T < math.inf and 0 < H < math.inf):
+        raise DomainError("T and H must be positive and finite")
     if not (T ** CBAR_WINDOW_EXPONENT <= H <= T):
         raise DomainError(
             f"window constraint violated: need T^{CBAR_WINDOW_EXPONENT} <= H <= T"
         )
-    full = s1_moment(l, T, T + H)
-    cbar = full.value / H
-    subs = []
-    for j in range(4):
-        sub = s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0)
-        subs.append(sub.value / (H / 4.0))
-    spread = max(abs(c - cbar) for c in subs)
+    cbar = s1_moment(l, T, T + H).value / H
+    spread = max(abs(s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0).value / (H / 4.0)
+                     - cbar) for j in range(4))
     est = CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))
     (cache if cache is not None else ConstantsCache()).put(est)
     return est

@@ -108,17 +108,6 @@ def panel_sums(
     return (f(nodes.ravel()).reshape(nodes.shape) * w).sum(axis=1) * half
 
 
-def _integrate_halving(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int
-) -> Tuple[float, float]:
-    """GL(order) on each panel and on its two halves: the fsum of the
-    halves' sums, and the fsum of |halves - whole| as the error."""
-    coarse = panel_sums(f, edges[:-1], edges[1:], order)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fine = panel_sums(f, edges[:-1], mids, order) + panel_sums(f, mids, edges[1:], order)
-    return math.fsum(fine.tolist()), math.fsum(np.abs(fine - coarse).tolist())
-
-
 def integrate_panels(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -128,12 +117,16 @@ def integrate_panels(
 ) -> Tuple[float, float]:
     """Integrate f over [a, b]; returns (value, error_estimate).
 
-    The error estimate comes from comparing each panel against its two
-    halves; the returned value is the refined (halved-panel) one.
+    GL(order) on each panel and on its two halves: the value is the fsum
+    of the halves' sums, the error estimate the fsum of |halves - whole|.
     """
     if a == b:
         return 0.0, 0.0
-    return _integrate_halving(f, panel_edges(a, b, width), order)
+    edges = panel_edges(a, b, width)
+    coarse = panel_sums(f, edges[:-1], edges[1:], order)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    fine = panel_sums(f, edges[:-1], mids, order) + panel_sums(f, mids, edges[1:], order)
+    return math.fsum(fine.tolist()), math.fsum(np.abs(fine - coarse).tolist())
 
 
 # QUADPACK dqk21 on x >= 0, outermost node first: Kronrod nodes, Kronrod

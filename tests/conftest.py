@@ -30,6 +30,20 @@ def config():
     return DEFAULT_CONFIG
 
 
+@pytest.fixture
+def clear_memos():
+    """A function that empties the process's window memos (see the README's
+    numerical notes), so the next run computes every window afresh."""
+    from zetalab import functionals, ladders, sums
+
+    def clear():
+        for memo in (ladders._reverse_iterate, functionals._sigma_window,
+                     functionals._s1_window, sums._gram_window):
+            memo.cache_clear()
+
+    return clear
+
+
 def mp_theta(t):
     return mp.siegeltheta(mp.mpf(t))
 

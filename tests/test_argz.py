@@ -278,6 +278,17 @@ class TestS1:
         smax = np.max(np.abs(s)) + 1.0
         assert np.all(np.abs(v1 - v0) <= (smax + 1.0) * delta)
 
+    def test_value_many_does_not_depend_on_the_batch(self):
+        # the theta integral runs in blocks of _THETA_BLOCK query points;
+        # a point's value must not depend on the block it lands in
+        ev = shared_s1_evaluator()
+        ts = np.linspace(100.0, 1000.0, 2 * ev._THETA_BLOCK + 3)
+        ev.ensure(1000.0)
+        whole = ev.value_many(ts)
+        assert np.array_equal(whole, np.concatenate([ev.value_many(ts[:5]),
+                                                     ev.value_many(ts[5:])]))
+        assert whole[-1] == ev.value(1000.0)
+
     def test_higher_resolution_self_oracle(self):
         # finer theta panels and the same zero set must reproduce S1
         t = 100.0

@@ -159,10 +159,46 @@ class TestBadInputsExit2:
         assert code == 2
         assert f"error: cannot write {paths[flag]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "--kind", "s1moment", "--l", "1", "--from", "100", "--to", "inf"],
+         "need 0 <= t_lo <= t_hi < inf"),
+        (["moments", "--kind", "sigma2", "--sigma", "1", "--from", "100", "--to", "inf"],
+         "need 0 <= t_lo <= t_hi < inf"),
+        (["moments", "--kind", "critical2", "--from", "100", "--to", "inf"],
+         "need 0 <= t_lo <= t_hi < inf"),
+        (["moments", "--kind", "sigma2", "--sigma", "nan", "--from", "100", "--to", "110"],
+         "sigma must be finite and >= 1/2 + 0.01"),
+        (["moments", "--kind", "sigma2", "--sigma", "inf", "--from", "100", "--to", "110"],
+         "sigma must be finite and >= 1/2 + 0.01"),
+        (["ladder", "--T", "inf"], "reverse_iterate requires finite T >= 100"),
+        (["verify", "--suite", "ladder", "--heights", "inf"],
+         "reverse_iterate requires finite T >= 100"),
+        (["verify", "--suite", "quotients", "--heights", "inf"],
+         "reverse_iterate requires finite T >= 100"),
+        (["cbar", "--l", "1", "--T", "inf", "--H", "inf"], "T and H must be positive and finite"),
+    ], ids=["s1moment", "sigma2", "critical2", "sigma-nan", "sigma-inf", "ladder",
+            "verify-ladder", "verify-quotients", "cbar"])
+    def test_non_finite_heights(self, tmp_path, capsys, argv, message):
+        code, out, _ = run_cli(argv, tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["functional", "--kind", "A", "--x", "1", "--sigma", "0.5", "--tau", "1"],
+        ["functional", "--kind", "C", "--x", "1", "--sigma", "0.45", "--tau", "1"],
+        ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--sigma", "nan",
+         "--tau", "48.6"],
+    ], ids=["A", "C", "fermat"])
+    def test_sigma_checked_before_the_substitution_constant(self, tmp_path, capsys, argv):
+        code, out, _ = run_cli(argv, tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: sigma must be finite and >= 1/2 + 0.01\n"
+
     @pytest.mark.parametrize("argv", [
         ["theta", "--t", ","], ["z", "--t", ","], ["s", "--t", ", ,"],
         ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", ","],
         ["z", "--t", "100", "--jobs", "0"], ["z", "--t", "100", "--jobs", "-3"],
+        ["verify", "--suite", "branch", "--seed", "-1"],
     ])
     def test_empty_list_or_jobs_below_1_at_parse(self, tmp_path, capsys, argv):
         code, out, manifest = run_cli(argv, tmp_path)
@@ -179,16 +215,12 @@ class TestConfig:
         ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "6,7"],
         ["cbar", "--l", "1", "--T", "200", "--H", "40"],
     ], ids=lambda argv: argv[0])
-    def test_eval_tol_moves_no_value(self, tmp_path, argv):
-        from zetalab import functionals, ladders, sums
-
+    def test_eval_tol_moves_no_value(self, tmp_path, argv, clear_memos):
         cfg = tmp_path / "loose.json"
         cfg.write_text(json.dumps({"eval_tol": 1e-4}))
         outs = []
         for extra, name in (([], "default.csv"), (["--config", str(cfg)], "loose.csv")):
-            for memo in (ladders._reverse_iterate, functionals._sigma_window,
-                         functionals._s1_window, sums._gram_window):
-                memo.cache_clear()
+            clear_memos()
             code, out, _ = run_cli(argv + extra, tmp_path, name)
             assert code == 0
             outs.append(out.read_bytes())

@@ -123,10 +123,9 @@ class TestFunctionalApproximant:
         assert 0.4 <= v.value <= 1.8
         assert v.rel_err == abs(v.value - 1.0)
 
-    def test_windows_reuse_the_ladder_step(self):
+    def test_windows_reuse_the_ladder_step(self, clear_memos):
         # the call's two windows find its T^1 in the reverse_iterate memo
-        for memo in (ladders._reverse_iterate, functionals._sigma_window):
-            memo.cache_clear()
+        clear_memos()
         K = substitution_constant("A", sigma=1.0)
         functional_approximant("A", 1.0, 300.0 / K, sigma=1.0)
         info = ladders._reverse_iterate.cache_info()
@@ -156,7 +155,7 @@ class TestCriticalWindow:
                                    edges[:-1], edges[1:], 32).tolist())
         assert abs(window - ref) <= err
 
-    def test_window_costs_no_second_integration(self, monkeypatch):
+    def test_window_costs_no_second_integration(self, monkeypatch, clear_memos):
         # kind A at T = 1e4: 41,443 Z points for the ladder step and 12,350
         # for the pair sum; integrating the window again took 118,680 more
         points = {}
@@ -166,8 +165,7 @@ class TestCriticalWindow:
                 return z(t)
 
             monkeypatch.setattr(mod, "hardy_z_many", counting_z)
-        for memo in (ladders._reverse_iterate, functionals._sigma_window, sums._gram_window):
-            memo.cache_clear()
+        clear_memos()
         K = substitution_constant("A", sigma=1.0)
         functional_approximant("A", 1.0, 1e4 / K, sigma=1.0)
         assert "zetalab.moments" not in points

@@ -26,7 +26,7 @@ from zetalab import (
     shared_s1_evaluator,
 )
 from zetalab.moments import _split_gaps
-from zetalab.quad import gauss_panels, integrate_panels, sigma_panel_runs
+from zetalab.quad import gauss_panels, integrate_panels, panel_sums, sigma_panel_runs
 from zetalab.zeta import _BLOCK, zeta_abs2_line
 
 zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
@@ -212,6 +212,20 @@ class TestS1Moment:
         fine = float(np.sum((vals.reshape(len(mid), 10) @ w) * half))
         assert base.value == pytest.approx(fine, rel=0.02)
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(150.0, 190.0), (1000.0, 1050.0), (3000.0, 3025.0)])
+    def test_matches_gl20_on_eighths_of_its_panels(self, t_lo, t_hi):
+        # s1_moment raises the table ceiling to t_hi at most, so the
+        # reference reads the same S1 tables
+        est = s1_moment(1, t_lo, t_hi)
+        ev = shared_s1_evaluator()
+        edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
+        fine = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(8) / 8.0
+        fine = np.append(fine.ravel(), t_hi)
+        ref = math.fsum(panel_sums(lambda t: ev.value_many(t) ** 2,
+                                   fine[:-1], fine[1:], 20).tolist())
+        assert 0.0 < est.quad_error < 1e-6 * est.value
+        assert abs(est.value - ref) <= est.quad_error
+
     def test_additivity(self):
         a = s1_moment(1, 500.0, 600.0).value
         b = s1_moment(1, 600.0, 700.0).value
@@ -225,6 +239,36 @@ class TestCbar:
         assert est.cbar > 0
         m = s1_moment(1, 2000.0, 2200.0).value
         assert est.cbar == pytest.approx(m / 200.0, rel=1e-12)
+
+    def test_spread_reads_the_whole_windows_tables(self, tmp_path, monkeypatch):
+        # from a fresh evaluator, so a quarter that raised the table
+        # ceiling mid-fit would leave the earlier quarters on older tables
+        from zetalab import argz
+
+        monkeypatch.setattr(argz, "_SHARED", argz.S1Evaluator())
+        est = estimate_cbar(1, 2000.0, 200.0, cache=ConstantsCache(str(tmp_path / "c.json")))
+        assert est.cbar == s1_moment(1, 2000.0, 2200.0).value / 200.0
+        quarters = [s1_moment(1, 2000.0 + 50.0 * j, 2050.0 + 50.0 * j).value for j in range(4)]
+        assert est.spread == max(abs(q / 50.0 - est.cbar) for q in quarters)
+
+    def test_fit_samples_21_nodes_per_panel(self, tmp_path, monkeypatch):
+        # one value_many call of 21 GK nodes per zero-gap panel, for the
+        # whole window and then for each quarter window
+        ev = shared_s1_evaluator()
+        ev.ensure(2200.0)
+        panels = [len(_split_gaps(np.concatenate([[a], ev.zeros_in(a, b), [b]]))) - 1
+                  for a, b in ((2000.0, 2200.0), (2000.0, 2050.0), (2050.0, 2100.0),
+                               (2100.0, 2150.0), (2150.0, 2200.0))]
+        calls = []
+        value_many = type(ev).value_many
+
+        def counting(self, t):
+            calls.append(np.size(t))
+            return value_many(self, t)
+
+        monkeypatch.setattr(type(ev), "value_many", counting)
+        estimate_cbar(1, 2000.0, 200.0, cache=ConstantsCache(str(tmp_path / "c.json")))
+        assert calls == [21 * n for n in panels]
 
     def test_window_constraint(self):
         with pytest.raises(DomainError):

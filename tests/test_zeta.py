@@ -254,15 +254,11 @@ class TestLineKernel:
         assert abs(one - two[0]) <= em_roundoff_bound(t, PrecisionConfig.em_cutoff(t))
 
     @staticmethod
-    def _csv_at_jobs_1_and_2(args, tmp_path, monkeypatch):
+    def _csv_at_jobs_1_and_2(args, tmp_path, monkeypatch, clear_memos):
         # each run starts from empty window memos and an empty prime plan
-        from zetalab import functionals, ladders, sums
-
         outs = []
         for jobs in ("1", "2"):
-            for memo in (ladders._reverse_iterate, functionals._sigma_window,
-                         functionals._s1_window, sums._gram_window):
-                memo.cache_clear()
+            clear_memos()
             monkeypatch.setattr(zeta_module, "_PLAN", zeta_module._PrimePlan(0))
             out = tmp_path / f"jobs{jobs}.csv"
             code = main(args + ["--jobs", jobs, "--out", str(out),
@@ -271,12 +267,12 @@ class TestLineKernel:
             outs.append(out.read_bytes())
         return outs
 
-    def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch):
+    def test_functional_sigma_line_jobs_invariance(self, tmp_path, monkeypatch, clear_memos):
         args = ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "4,8"]
-        one, two = self._csv_at_jobs_1_and_2(args, tmp_path, monkeypatch)
+        one, two = self._csv_at_jobs_1_and_2(args, tmp_path, monkeypatch, clear_memos)
         assert one == two
 
-    def test_fermat_kind_c_jobs_invariance(self, tmp_path, monkeypatch):
+    def test_fermat_kind_c_jobs_invariance(self, tmp_path, monkeypatch, clear_memos):
         # the taus put the windows at T = 2500 and 2550; `fermat` writes
         # only its verdict, so the same kind-C trace is also run through
         # `functional`, whose CSV holds the values
@@ -285,7 +281,8 @@ class TestLineKernel:
                   "--sigma", "1"]
         functional = ["functional", "--kind", "C", "--x", "0.728", "--sigma", "1"]
         for args in (fermat, functional):
-            one, two = self._csv_at_jobs_1_and_2(args + taus, tmp_path, monkeypatch)
+            one, two = self._csv_at_jobs_1_and_2(args + taus, tmp_path, monkeypatch,
+                                                  clear_memos)
             assert one == two
 
 
