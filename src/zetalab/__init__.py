@@ -26,7 +26,6 @@ from .config import (
 )
 from .fermat import FermatWitness, fermat_equivalence_check, fermat_rational, fermat_search
 from .functionals import (
-    ChainReport,
     FunctionalApproximant,
     chain_compare,
     functional_approximant,
@@ -34,7 +33,7 @@ from .functionals import (
     quotient_zeta,
     substitution_constant,
 )
-from .gram import GramPoint, GramRange, gram_count_estimate, gram_point, gram_points, gram_range
+from .gram import GramPoint, GramRange, gram_point, gram_points, gram_range
 from .ladders import LadderChain, PartitionReport, ladder_chain, partition_report, reverse_iterate
 from .moments import (
     CbarEstimate,
@@ -46,7 +45,9 @@ from .moments import (
     second_moment_sigma,
 )
 from .sums import SumResult, TrendReport, fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
-from .zeta import EULER_GAMMA, RS_CROSSOVER, hardy_z, hardy_z_many, theta, theta_deriv, zeta
+from .zeta import (
+    EULER_GAMMA, MAX_HEIGHT, RS_CROSSOVER, hardy_z, hardy_z_many, theta, theta_deriv, zeta,
+)
 
 # every public name imported above, and nothing else (submodules excluded)
 __all__ = sorted(name for name, value in globals().items()

@@ -23,6 +23,7 @@ import numpy as np
 from .config import AmbiguousBranchError, DomainError, TrackingError
 from .quad import panel_sums
 from .zeta import (
+    MAX_HEIGHT,
     RS_CROSSOVER,
     TWO_PI,
     _zeta_point,
@@ -53,8 +54,8 @@ def s_of_t(t: float) -> ArgTrace:
     convention-dependent).
     """
     t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError("s_of_t requires finite t >= 0")
+    if not (0.0 <= t <= MAX_HEIGHT):
+        raise DomainError(f"s_of_t requires 0 <= t <= {MAX_HEIGHT:g}")
     if t == 0.0:
         # Degenerate polyline; fixed by convention.
         return ArgTrace(t=0.0, s_value=0.0, zero_count=0, branch_residual=0.0)
@@ -151,9 +152,12 @@ class ZeroCache:
         self._lock = threading.Lock()
 
     def ensure(self, t_max: float) -> np.ndarray:
+        if not t_max <= MAX_HEIGHT:
+            raise DomainError(f"zero scan to t = {t_max:g} is above {MAX_HEIGHT:g}")
         with self._lock:
             if t_max > self.t_max:
-                target = max(t_max * 1.02 + 5.0, 100.0)
+                # capped, so that the count check at the ceiling is in s_of_t's range
+                target = min(max(t_max * 1.02 + 5.0, 100.0), MAX_HEIGHT)
                 self.zeros = self._grow(target)
                 self.t_max = target
             return self.zeros

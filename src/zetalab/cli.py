@@ -246,10 +246,8 @@ def _fermat(args, config, cache, manifest):
           _flag("--cbar-H", type=float, required=True))
 def _chain(args, config, cache, manifest):
     est = _need_cbar(args, cache, manifest)
-    rep = chain_compare(args.x, args.sigma, args.l, args.tau, est, config)
-    rows = [(k, rep.values[k], rep.rel_errs[k]) for k in ("A", "B", "C")]
-    rows.append(("PASS" if rep.passed else "FAIL", rep.implied_T, rep.x))
-    return ["kind", "value", "rel_err"], rows
+    rows = chain_compare(args.x, args.sigma, args.l, args.tau, est, config).values()
+    return ["kind", "T", "value", "rel_err"], [(r.kind, r.T, r.value, r.rel_err) for r in rows]
 
 
 # name -> suite(args, config, cache)

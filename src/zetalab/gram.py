@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from .config import ABS_TOL, DomainError, RootError
-from .zeta import TWO_PI, theta, theta_deriv
+from .zeta import MAX_HEIGHT, TWO_PI, theta, theta_deriv
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,10 @@ class GramRange:
 
 _NEWTON_STEPS = 6  # quadratic convergence from the asymptotic inverse
 
+# The last Gram index a window below MAX_HEIGHT can ask for: `_index_bounds`
+# reaches one index past the last t_nu below it, and the pair sum one more.
+_NU_MAX = int(theta(MAX_HEIGHT) // math.pi) + 2
+
 
 def _initial_guess(nus: np.ndarray) -> np.ndarray:
     """Invert the theta main term: u ln(u/e) = nu + 1/8 with u = t/2pi."""
@@ -40,9 +44,9 @@ def _initial_guess(nus: np.ndarray) -> np.ndarray:
     return TWO_PI * (nus + 0.125) / np.real(lambertw(v))
 
 
-def _solve_many(nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(t, |theta(t) - pi*nu|): Newton from the asymptotic inverse, then a
-    last-ulp polish.
+def _solve_many(nu_lo: int, nu_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, |theta(t) - pi*nu|) for nu = nu_lo..nu_hi: Newton from the
+    asymptotic inverse, then a last-ulp polish.
 
     theta carries ~1 ulp of its own magnitude in noise, so after Newton
     converges we try the neighbouring representable t on the side the
@@ -51,6 +55,9 @@ def _solve_many(nus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     grows past ~1e5 the theta values move in steps of several 1e-11 per
     ulp of t, and no double can do better than a few ulp of the target.
     """
+    if nu_hi > _NU_MAX:
+        raise DomainError(f"Gram index {nu_hi} lies above t = {MAX_HEIGHT:g}")
+    nus = np.arange(nu_lo, nu_hi + 1, dtype=float)
     target = np.pi * nus
     t = _initial_guess(nus)
     for _ in range(_NEWTON_STEPS):
@@ -76,7 +83,7 @@ def gram_point(nu: int) -> GramPoint:
     """The unique root of theta(t) = pi*nu on the increasing branch t > 2pi."""
     if nu < 1:
         raise DomainError("Gram index nu must be >= 1")
-    t, r = _solve_many(np.array([float(nu)]))
+    t, r = _solve_many(nu, nu)
     return GramPoint(nu=int(nu), t=float(t[0]), residual=float(r[0]))
 
 
@@ -84,11 +91,10 @@ def gram_points(nu_lo: int, nu_hi: int) -> List[GramPoint]:
     """Gram points for the inclusive index range [nu_lo, nu_hi]."""
     if nu_lo < 1 or nu_hi < nu_lo:
         raise DomainError("need 1 <= nu_lo <= nu_hi")
-    nus = np.arange(nu_lo, nu_hi + 1, dtype=float)
-    ts, res = _solve_many(nus)
+    ts, res = _solve_many(nu_lo, nu_hi)
     return [
-        GramPoint(nu=int(n), t=float(t), residual=float(r))
-        for n, t, r in zip(nus, ts, res)
+        GramPoint(nu=n, t=float(t), residual=float(r))
+        for n, t, r in zip(range(nu_lo, nu_hi + 1), ts, res)
     ]
 
 
@@ -116,10 +122,3 @@ def gram_range(t_lo: float, t_hi: float) -> GramRange:
     pts = gram_points(lo, hi)
     pts = [p for p in pts if t_lo <= p.t < t_hi]
     return GramRange(t_lo=t_lo, t_hi=t_hi, points=pts)
-
-
-def gram_count_estimate(T: float) -> float:
-    """The crude (1/2pi) T ln T count scale for Gram points below T."""
-    if not T > math.e:
-        raise DomainError("gram_count_estimate requires T > e")
-    return T * math.log(T) / TWO_PI

@@ -21,7 +21,7 @@ import numpy as np
 from .config import ABS_TOL, DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
 from .moments import second_moment_critical
 from .quad import _gl_inner_gap, critical_panel_width, gauss_panels, panel_sums
-from .zeta import _BLOCK, EULER_GAMMA, hardy_z_many
+from .zeta import _BLOCK, EULER_GAMMA, MAX_HEIGHT, hardy_z_many
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class LadderChain:
     iterates: List[float]  # T^1 < T^2 < ... < T^k
     residuals: List[float]  # per-step |integral - (1-c) T^{r-1}|
     slices: List[float]  # per-step integral of Z^2 over [T^{r-1}, T^r]
-    euler_c: float = EULER_GAMMA
 
     @property
     def k(self) -> int:
@@ -103,9 +102,9 @@ def _reverse_iterate(T: float) -> Tuple[float, float, float]:
     over [T, T^1] that it solved for, base + GL16 on the tail [a, T^1],
     and that integral's error estimate, the bracket's base_err plus
     |GL16 - GL8| on the tail.  T^1 alone is `reverse_iterate`; the window
-    is what `functionals._crit_window` reads.  T must be finite and >= 100."""
-    if not (100.0 <= T < math.inf):
-        raise DomainError("reverse_iterate requires finite T >= 100")
+    is what `functionals._crit_window` reads.  T must lie in [100, MAX_HEIGHT]."""
+    if not (100.0 <= T <= MAX_HEIGHT):
+        raise DomainError(f"reverse_iterate requires 100 <= T <= {MAX_HEIGHT:g}")
     target = (1.0 - EULER_GAMMA) * T
     base, a, b, base_err = _bracket(T, target)
 
@@ -181,9 +180,7 @@ def partition_report(chain: LadderChain) -> PartitionReport:
     slices = chain.slices
     gap_ratios = [gaps[r + 1] / gaps[r] for r in range(chain.k - 1)]
     integral_ratios = [slices[r + 1] / slices[r] for r in range(chain.k - 1)]
-    preds = [
-        (1.0 - chain.euler_c) * hs[r] / math.log(hs[r]) for r in range(chain.k)
-    ]
+    preds = [(1.0 - EULER_GAMMA) * hs[r] / math.log(hs[r]) for r in range(chain.k)]
     gap_prediction_ratios = [gaps[r] / preds[r] for r in range(chain.k)]
     return PartitionReport(
         gap_ratios=gap_ratios,

@@ -25,7 +25,9 @@ from .quad import (
     _GK_X, _nodes, check_error, critical_panel_width, integrate_panels, kronrod_sums,
     sigma_panel_runs,
 )
-from .zeta import RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_panels
+from .zeta import (
+    MAX_HEIGHT, RS_CROSSOVER, em_error_bound, hardy_z_many, rs_error_bound, zeta_abs2_panels,
+)
 
 # Window-exponent constraint T^a <= H <= T from the Selberg-moment
 # formula, with a fixed once for reproducibility.
@@ -71,8 +73,8 @@ def _finish(t_lo: float, t_hi: float, kind: str, param, value: float, err: float
 
 
 def _check_window(t_lo: float, t_hi: float) -> None:
-    if not (0.0 <= t_lo <= t_hi < math.inf):
-        raise DomainError("need 0 <= t_lo <= t_hi < inf")
+    if not (0.0 <= t_lo <= t_hi <= MAX_HEIGHT):
+        raise DomainError(f"need 0 <= t_lo <= t_hi <= {MAX_HEIGHT:g}")
 
 
 def check_sigma(sigma: float) -> None:

@@ -65,7 +65,7 @@ def _gram_window(t_lo: float, t_hi: float) -> Tuple[SumResult, SumResult]:
     terms = 0
     if hi >= lo:
         # one index past the window for the pair's last factor
-        ts, _ = _solve_many(np.arange(lo, hi + 2, dtype=float))
+        ts, _ = _solve_many(lo, hi + 1)
         inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
         terms = len(inside)
         if terms:

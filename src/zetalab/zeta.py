@@ -188,6 +188,12 @@ def _rs_correction(p: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return c0 + (x * c1 + (c2 + x * c3 / tau) / tau) / tau
 
 
+# The top of [50, 1e6], the range on which `rs_error_bound` is verified.
+# The heights that enter the zero scan, the Gram solve, S(t), the ladder
+# step and the interval moments stop there with a DomainError.
+MAX_HEIGHT = 1e6
+
+
 def rs_error_bound(t) -> np.ndarray:
     """A-posteriori bound for the C0..C3 Riemann-Siegel evaluation.
 

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 
 import mpmath as mp
 import pytest
@@ -33,12 +35,17 @@ def config():
 @pytest.fixture
 def clear_memos():
     """A function that empties the process's window memos (see the README's
-    numerical notes), so the next run computes every window afresh."""
-    from zetalab import functionals, ladders, sums
+    numerical notes), so the next run computes every window afresh: each
+    module-level attribute of a zetalab module that has `cache_clear`."""
+    import zetalab
+
+    modules = [importlib.import_module(f"zetalab.{m.name}")
+               for m in pkgutil.iter_modules(zetalab.__path__)]
+    memos = [f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")]
+    assert memos
 
     def clear():
-        for memo in (ladders._reverse_iterate, functionals._sigma_window,
-                     functionals._s1_window, sums._gram_window):
+        for memo in memos:
             memo.cache_clear()
 
     return clear

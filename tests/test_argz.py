@@ -19,7 +19,7 @@ from zetalab import (
     theta,
 )
 from zetalab.quad import gauss_panels
-from zetalab.zeta import RS_CROSSOVER, TWO_PI, hardy_z_many
+from zetalab.zeta import MAX_HEIGHT, RS_CROSSOVER, TWO_PI, hardy_z_many
 
 FIRST_ZEROS = [14.134725141734694, 21.022039638771555, 25.010857580145689,
                30.424876125859513, 32.935061587739190]
@@ -94,6 +94,24 @@ class TestZeroCache:
         for k in [1, 5, 10, 20]:
             ref = float(mp.zetazero(k).imag)
             assert zs[k - 1] == pytest.approx(ref, abs=5e-6)
+
+    @pytest.mark.parametrize("t", [1e6 + 1.0, 1e9, math.inf, math.nan])
+    def test_rejects_heights_above_max(self, t):
+        cache = ZeroCache()
+        with pytest.raises(DomainError, match=r"zero scan to t = \S+ is above 1e\+06"):
+            cache.ensure(t)
+        assert cache.t_max == 0.0
+
+    def test_ceiling_stops_at_max_height(self, monkeypatch):
+        # the scan's ceiling is capped at MAX_HEIGHT, so the count check at
+        # its checkpoint stays in the range that s_of_t accepts
+        cache = ZeroCache()
+        ceilings = []
+        monkeypatch.setattr(cache, "_grow", lambda t_hi: ceilings.append(t_hi) or np.empty(0))
+        for t in (5e5, 990_000.0, MAX_HEIGHT):
+            cache.ensure(t)
+        assert ceilings == [5e5 * 1.02 + 5.0, MAX_HEIGHT]
+        assert ZeroCache._checkpoint_clear_of(np.empty(0), ceilings[-1]) <= MAX_HEIGHT
 
 
 LEHMER_PAIR = 7005.06

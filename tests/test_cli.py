@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
+import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +16,8 @@ import pytest
 from zetalab import cli
 from zetalab.cli import main
 from zetalab.manifest import csv_cells
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -161,20 +168,20 @@ class TestBadInputsExit2:
 
     @pytest.mark.parametrize("argv, message", [
         (["moments", "--kind", "s1moment", "--l", "1", "--from", "100", "--to", "inf"],
-         "need 0 <= t_lo <= t_hi < inf"),
+         "need 0 <= t_lo <= t_hi <= 1e+06"),
         (["moments", "--kind", "sigma2", "--sigma", "1", "--from", "100", "--to", "inf"],
-         "need 0 <= t_lo <= t_hi < inf"),
+         "need 0 <= t_lo <= t_hi <= 1e+06"),
         (["moments", "--kind", "critical2", "--from", "100", "--to", "inf"],
-         "need 0 <= t_lo <= t_hi < inf"),
+         "need 0 <= t_lo <= t_hi <= 1e+06"),
         (["moments", "--kind", "sigma2", "--sigma", "nan", "--from", "100", "--to", "110"],
          "sigma must be finite and >= 1/2 + 0.01"),
         (["moments", "--kind", "sigma2", "--sigma", "inf", "--from", "100", "--to", "110"],
          "sigma must be finite and >= 1/2 + 0.01"),
-        (["ladder", "--T", "inf"], "reverse_iterate requires finite T >= 100"),
+        (["ladder", "--T", "inf"], "reverse_iterate requires 100 <= T <= 1e+06"),
         (["verify", "--suite", "ladder", "--heights", "inf"],
-         "reverse_iterate requires finite T >= 100"),
+         "reverse_iterate requires 100 <= T <= 1e+06"),
         (["verify", "--suite", "quotients", "--heights", "inf"],
-         "reverse_iterate requires finite T >= 100"),
+         "reverse_iterate requires 100 <= T <= 1e+06"),
         (["cbar", "--l", "1", "--T", "inf", "--H", "inf"], "T and H must be positive and finite"),
     ], ids=["s1moment", "sigma2", "critical2", "sigma-nan", "sigma-inf", "ladder",
             "verify-ladder", "verify-quotients", "cbar"])
@@ -205,6 +212,44 @@ class TestBadInputsExit2:
         assert code == 2 and not out.exists() and not manifest.exists()
         flag = argv[-2]
         assert f"error: argument {flag}: " in capsys.readouterr().err
+
+
+class TestHeightsAboveMaxHeight:
+    """Heights above MAX_HEIGHT = 1e6 stop with exit 2 where they enter, before
+    any array is sized by them.  Each case runs in a child under a 2.5 GB
+    address-space limit: without the ceiling, all but sigma2 at sigma = 1
+    (whose accuracy gate stops it with exit 4) end in a MemoryError."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cbar", "--l", "1", "--T", "1e9", "--H", "1e8"], r"need 0 <= t_lo <= t_hi <= 1e\+06"),
+        (["moments", "--kind", "s1moment", "--l", "1", "--from", "100", "--to", "1e9"],
+         r"need 0 <= t_lo <= t_hi <= 1e\+06"),
+        (["moments", "--kind", "sigma2", "--sigma", "1", "--from", "100", "--to", "1e9"],
+         r"need 0 <= t_lo <= t_hi <= 1e\+06"),
+        (["moments", "--kind", "sigma2", "--sigma", "3", "--from", "100", "--to", "1e9"],
+         r"need 0 <= t_lo <= t_hi <= 1e\+06"),
+        (["gram", "--from", "1e4", "--to", "1e12"], r"Gram index \d+ lies above t = 1e\+06"),
+        (["sum", "--kind", "pair", "--from", "1e4", "--to", "1e12"],
+         r"Gram index \d+ lies above t = 1e\+06"),
+        (["s", "--t", "1e12"], r"s_of_t requires 0 <= t <= 1e\+06"),
+        (["verify", "--suite", "gram", "--nu-max", "1000000000000"],
+         r"Gram index 1000000000000 lies above t = 1e\+06"),
+        (["ladder", "--T", "1e9"], r"reverse_iterate requires 100 <= T <= 1e\+06"),
+    ], ids=["cbar", "s1moment", "sigma2", "sigma2-at-3", "gram", "sum", "s", "verify-gram",
+            "ladder"])
+    def test_exit_2_under_a_memory_limit(self, tmp_path, argv, message):
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2_500_000_000, 2_500_000_000))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetalab.cli", *argv, "--out", "out.csv",
+             "--manifest", "m.jsonl", "--cache-dir", "cache"],
+            cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(f"error: {message}\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestConfig:
@@ -279,6 +324,24 @@ class TestCbarAndChain:
         )
         assert code == 2 and not out.exists()
         assert "no cached cbar for l=1, T=2000.0, H=200.0" in capsys.readouterr().err
+
+    def test_chain_prints_one_row_per_kind(self, tmp_path, capsys):
+        # x = 1e12 lies between A's value and C's here; a PASS/FAIL row that
+        # tested the triangle inequality read FAIL on rounding alone
+        cache_dir = str(tmp_path / "cache")
+        run_cli(["cbar", "--l", "1", "--T", "2000", "--H", "200", "--cache-dir", cache_dir],
+                tmp_path, "cbar.csv")
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            ["chain", "--x", "1e12", "--tau", "2.9515787498580386e-10", "--cbar-T", "2000",
+             "--cbar-H", "200", "--cache-dir", cache_dir], tmp_path)
+        assert code == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "kind,T,value,rel_err"
+        assert [row.split(",")[:2] for row in rows] == [["A", "10000"], ["B", "10000"],
+                                                        ["C", "10000"]]
+        assert all(len(row.split(",")) == 4 for row in rows)
+        assert capsys.readouterr().out.splitlines() == rows
 
 
 class TestVerifyCommand:
@@ -358,7 +421,7 @@ def test_every_command_writes_its_stdout_under_a_header_of_its_width(tmp_path, c
 
 
 def test_readme_cli_examples_parse_and_cover_every_command():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command-line interface", 1)[1].split("```")[1]
     examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("zetalab ")]
     parser = cli._build_parser()

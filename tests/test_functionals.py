@@ -136,7 +136,7 @@ class TestFunctionalApproximant:
         v = functional_approximant("A", 2.0, 500.0 / (K * 2.0), sigma=1.0)
         assert v.T == pytest.approx(500.0, rel=1e-12)
         assert v.T1 > v.T
-        assert v.target == 2.0
+        assert v.x == 2.0
 
 
 class TestCriticalWindow:
@@ -186,11 +186,27 @@ class TestChainCompare:
     def test_common_height_and_triangle_gate(self):
         cb = estimate_cbar(1, 2000.0, 200.0)
         kA = substitution_constant("A", sigma=1.0)
-        rep = chain_compare(1.0, 1.0, 1, 600.0 / kA, cb)
-        assert rep.implied_T == pytest.approx(600.0, rel=1e-12)
-        # triangle inequality makes the gate structural
-        assert rep.passed
-        assert set(rep.values) == {"A", "B", "C"}
+        out = chain_compare(1.0, 1.0, 1, 600.0 / kA, cb)
+        assert out["A"].T == pytest.approx(600.0, rel=1e-12)
+        assert list(out) == ["A", "B", "C"]
+
+    @pytest.mark.parametrize("x, T", [(1.0, 600.0), (0.37, 1500.0), (2.9, 2500.0)])
+    def test_equals_direct_calls_at_the_taus_it_derives(self, x, T):
+        cb = estimate_cbar(1, 2000.0, 200.0)
+        tau = T / (substitution_constant("A", sigma=1.0) * x)
+        out = chain_compare(x, 1.0, 1, tau, cb)
+        # A's own T is the common implied height, bitwise
+        T_ref = substitution_constant("A", sigma=1.0) * (x * tau)
+        assert out["A"].T == T_ref
+        tau_b = T_ref / (substitution_constant("B", cbar=cb) * x)
+        tau_c = T_ref / (substitution_constant("C", sigma=1.0) * x)
+        assert out == {
+            "A": functional_approximant("A", x, tau, sigma=1.0),
+            "B": functional_approximant("B", x, tau_b, l=1, cbar=cb),
+            "C": functional_approximant("C", x, tau_c, sigma=1.0),
+        }
+        for kind in "BC":
+            assert out[kind].T == pytest.approx(T_ref, rel=1e-14)
 
     def test_rejects_tiny_tau(self):
         cb = estimate_cbar(1, 2000.0, 200.0)

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from zetalab import (
     DomainError,
-    gram_count_estimate,
     gram_point,
     gram_points,
     gram_range,
     theta,
 )
 from zetalab.cli import main
-from zetalab.gram import _initial_guess, _solve_many
-from zetalab.zeta import theta_deriv
+from zetalab.gram import _NU_MAX, _initial_guess, _solve_many
+from zetalab.sums import titchmarsh_sum
+from zetalab.zeta import MAX_HEIGHT, theta_deriv
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +79,7 @@ class TestPolish:
     def test_one_step_matches_the_scan(self):
         # nu from 1 up, plus a block past the representability floor
         nus = np.concatenate([np.arange(1.0, 20001.0), np.arange(2e5, 2.05e5)])
-        new, _ = _solve_many(nus)
+        new = np.concatenate([_solve_many(1, 20000)[0], _solve_many(200000, 204999)[0]])
         old = _scan_polish_reference(nus)
         target = np.pi * nus
         gate = np.maximum(1e-10, 8.0 * np.finfo(float).eps * target)
@@ -90,7 +90,7 @@ class TestPolish:
     def test_solve_returns_the_residual_of_its_point(self):
         # the residual the solve kept is |theta(t) - pi nu| recomputed, bit for bit
         nus = np.arange(1.0, 20001.0)
-        ts, res = _solve_many(nus)
+        ts, res = _solve_many(1, 20000)
         assert np.array_equal(res, np.abs(theta(ts) - np.pi * nus))
         for nu in (1, 2, 77, 10000, 20000):
             p = gram_point(nu)
@@ -152,14 +152,6 @@ class TestGramRange:
 
 
 class TestCountEstimate:
-    def test_formula_at_1e4(self):
-        # direct arithmetic of (1/2pi) T ln T
-        assert gram_count_estimate(1e4) == pytest.approx(14658.7177, abs=0.1)
-
-    def test_formula_at_2pi_e(self):
-        T = TWO_PI * math.e
-        assert gram_count_estimate(T) == pytest.approx(math.e * (1.0 + math.log(TWO_PI)), rel=1e-12)
-
     def test_mean_gap_matches_local_density(self):
         # mean Gram gap in [T, 2T] tracks 2pi/ln(T/2pi), the actual local
         # density scale (the crude ln T scale is ~25% off at T = 1e4)
@@ -175,9 +167,20 @@ class TestCountEstimate:
         local = 1e4 * math.log(1e4 / TWO_PI) / TWO_PI
         assert abs(count / local - 1.0) <= 0.15
 
-    def test_rejects_small_T(self):
-        with pytest.raises(DomainError):
-            gram_count_estimate(2.0)
+
+class TestMaxHeight:
+    def test_last_index_is_two_past_the_last_point_below(self):
+        assert gram_point(_NU_MAX - 2).t <= MAX_HEIGHT < gram_point(_NU_MAX - 1).t
+        with pytest.raises(DomainError, match=rf"Gram index {_NU_MAX + 1} lies above t = 1e\+06"):
+            gram_point(_NU_MAX + 1)
+
+    def test_windows_ending_at_max_height_are_admitted(self):
+        assert gram_range(MAX_HEIGHT - 2.0, MAX_HEIGHT).count >= 1
+        assert titchmarsh_sum(MAX_HEIGHT - 2.0, MAX_HEIGHT).terms >= 1
+
+    def test_window_above_max_height_is_rejected(self):
+        with pytest.raises(DomainError, match="lies above t = 1e"):
+            gram_range(MAX_HEIGHT, MAX_HEIGHT + 2.0)
 
 
 def test_csv_rows_format(tmp_path, capsys):
