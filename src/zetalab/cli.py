@@ -63,7 +63,9 @@ def _flag(*names: str, **kw: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
 
 
 _COMMON = [
-    _flag("--config", help="JSON file with PrecisionConfig overrides"),
+    _flag("--eval-tol", type=float, default=DEFAULT_CONFIG.eval_tol,
+          help="largest accepted error bound of one zeta/Z evaluation; a larger "
+               "one stops the run with exit 4 (default %(default)g)"),
     _flag("--out", help="CSV output path"),
     _flag("--manifest", default="zetalab_manifest.jsonl",
           help="append-only run manifest (JSON lines)"),
@@ -282,7 +284,7 @@ def _write(path: str, write: Callable[..., Any], *rest: Any) -> Any:
 def _run(args, raw_argv: Sequence[str]) -> int:
     """Run the command, print its rows, write them under its header to --out and
     append the manifest; rows with status FAIL (a check suite) make the exit 3."""
-    config = PrecisionConfig.from_json(args.config) if args.config else DEFAULT_CONFIG
+    config = PrecisionConfig(eval_tol=args.eval_tol)
     manifest = RunManifest(raw_argv, config)
     cache = ConstantsCache(
         os.path.join(args.cache_dir, "constants.json") if args.cache_dir else None)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass
 from numbers import Real
-from typing import Any, ClassVar, Dict
-import json
+from typing import ClassVar
 import math
 
 # Residual gate of the structural solves: the Gram defining equation
@@ -21,10 +20,11 @@ class PrecisionConfig:
     eval_tol is the acceptance threshold for the a-posteriori accuracy
     bound of a single zeta/Z evaluation; a bound above it raises
     PrecisionError rather than returning a silently degraded value.  It
-    moves no value: a run either returns the same numbers or stops.
-    Everything else is fixed: ABS_TOL above, the 0.1 panel cap of
-    `quad.critical_panel_width`, the sigma steps of `argz.s_of_t` and the
-    Euler-Maclaurin cutoff rule below.
+    moves no value: a run either returns the same numbers or stops.  The
+    CLI sets it with `--eval-tol`, and `__post_init__` is the one check
+    of its value.  Everything else is fixed: ABS_TOL above, the 0.1 panel
+    cap of `quad.critical_panel_width`, the sigma steps of `argz.s_of_t`
+    and the Euler-Maclaurin cutoff rule below.
     """
 
     # Euler-Maclaurin cutoff rule: N(t) = ceil(|t|/2pi) + margin(t) with
@@ -57,27 +57,6 @@ class PrecisionConfig:
             raise PrecisionError(
                 f"{what} attainable only to {bound:.2e} > eval_tol", achievable=bound
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "PrecisionConfig":
-        if not isinstance(d, dict):
-            raise DomainError(f"a PrecisionConfig must be a JSON object, not {type(d).__name__}")
-        bad = set(d) - {f.name for f in fields(cls)}
-        if bad:
-            raise DomainError(f"unknown PrecisionConfig fields: {sorted(bad)}")
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, path: str) -> "PrecisionConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                d = json.load(f)
-        except (OSError, ValueError) as e:
-            raise DomainError(f"cannot read config {path}: {e}") from None
-        return cls.from_dict(d)
 
 
 DEFAULT_CONFIG = PrecisionConfig()

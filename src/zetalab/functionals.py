@@ -86,8 +86,6 @@ def quotient_zeta(sigma: float, T: float, config: PrecisionConfig = DEFAULT_CONF
     Compare against ln T / zeta(2 sigma).
     """
     check_sigma(sigma)
-    if T < 100.0:
-        raise DomainError("quotient_zeta requires T >= 100")
     return _crit_window(T, config) / _sigma_window(sigma, T, config)
 
 
@@ -96,8 +94,6 @@ def quotient_s1(l: int, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> f
     over [T, T^1].  Compare against ln T / cbar(l)."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    if T < 100.0:
-        raise DomainError("quotient_s1 requires T >= 100")
     return _crit_window(T, config) / s1_moment(l, T, reverse_iterate(T)).value
 
 

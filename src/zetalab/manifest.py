@@ -9,6 +9,7 @@ manifest's timestamps are not meant to be.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -56,7 +57,7 @@ class RunManifest:
     def __init__(self, argv: Sequence[str], config: PrecisionConfig):
         self.record: Dict = {
             "argv": list(argv),
-            "config": config.to_dict(),
+            "config": dataclasses.asdict(config),
             "constants": {},
             "cbar_keys": [],
             "outputs": {},

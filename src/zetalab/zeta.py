@@ -189,8 +189,8 @@ def _rs_correction(p: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 # The top of [50, 1e6], the range on which `rs_error_bound` is verified.
-# The heights that enter the zero scan, the Gram solve, S(t), the ladder
-# step and the interval moments stop there with a DomainError.
+# `hardy_z`, `zeta` and the heights that enter the zero scan, the Gram solve,
+# S(t), the ladder step and the interval moments stop there (DomainError).
 MAX_HEIGHT = 1e6
 
 
@@ -282,10 +282,12 @@ def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued.
 
     Raises PrecisionError when the a-posteriori accuracy bound exceeds
-    config.eval_tol.
+    config.eval_tol, and DomainError above MAX_HEIGHT.
     """
     tf = float(t)
     _as_height_array(tf)
+    if tf > MAX_HEIGHT:
+        raise DomainError(f"hardy_z requires 0 <= t <= {MAX_HEIGHT:g}")
     if tf >= RS_CROSSOVER:
         config.check_eval(float(rs_error_bound(tf)), f"Z({tf})")
     return float(hardy_z_many(np.array([tf]))[0])
@@ -504,8 +506,9 @@ def em_error_bound(sigma: float, t: float) -> float:
 
 
 def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
-    """zeta(sigma+it) for sigma > 0, s != 1, by the fixed Euler-Maclaurin
-    policy; the a-posteriori bound must stay below config.eval_tol.
+    """zeta(sigma+it) for sigma > 0, s != 1 and |t| <= MAX_HEIGHT, by the
+    fixed Euler-Maclaurin policy; the a-posteriori bound must stay below
+    config.eval_tol.
 
     On the critical line above the Z crossover the value is reassembled
     from the Riemann-Siegel Z, which callers should prefer anyway.
@@ -518,6 +521,8 @@ def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
         raise DomainError("s must be finite")
     if s.real <= 0.0:
         raise DomainError("evaluations require sigma > 0")
+    if abs(s.imag) > MAX_HEIGHT:
+        raise DomainError(f"zeta requires |t| <= {MAX_HEIGHT:g}")
     if s.imag < 0.0:
         return complex(np.conj(zeta(complex(s.real, -s.imag), config)))
     if s.real == 0.5 and s.imag >= RS_CROSSOVER:

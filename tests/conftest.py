@@ -5,8 +5,6 @@ import pkgutil
 import mpmath as mp
 import pytest
 
-from zetalab import DEFAULT_CONFIG
-
 mp.mp.dps = 30
 
 
@@ -25,11 +23,6 @@ def _isolated_cache(tmp_path_factory):
         os.environ.pop("ZLAB_CACHE_DIR", None)
     else:
         os.environ["ZLAB_CACHE_DIR"] = old
-
-
-@pytest.fixture(scope="session")
-def config():
-    return DEFAULT_CONFIG
 
 
 @pytest.fixture

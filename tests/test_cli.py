@@ -84,38 +84,42 @@ class TestExitCodes:
         assert code == 2
 
     def test_precision_error_is_4(self, tmp_path):
-        cfg = tmp_path / "tight.json"
-        cfg.write_text(json.dumps({"eval_tol": 1e-18}))
         code, _, _ = run_cli(
             ["moments", "--kind", "sigma2", "--sigma", "1.0",
-             "--from", "52000", "--to", "52010", "--config", str(cfg)],
+             "--from", "52000", "--to", "52010", "--eval-tol", "1e-18"],
             tmp_path,
         )
         assert code == 4
 
 
 class TestBadInputsExit2:
-    @pytest.mark.parametrize("text", [
-        None, "{", '{"eval_tol": "x"}', '{"eval_tol": Infinity}', '{"eval_tol": -1}',
-        '{"eval_tol": true}', '{"eval_tol": NaN}', "[1]",
-    ], ids=["missing", "bad-json", "string", "inf-tol", "negative-tol", "bool-tol", "nan-tol",
-            "list"])
-    def test_bad_config(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        if text is not None:
-            cfg.write_text(text)
-        code, out, _ = run_cli(["z", "--t", "100", "--config", str(cfg)], tmp_path)
+    @pytest.mark.parametrize("text, message", [
+        ("nan", "error: eval_tol must be positive and finite"),
+        ("inf", "error: eval_tol must be positive and finite"),
+        ("-1", "error: eval_tol must be positive and finite"),
+        ("0", "error: eval_tol must be positive and finite"),
+        ("x", "argument --eval-tol: invalid float value: 'x'"),
+        ("true", "argument --eval-tol: invalid float value: 'true'"),
+    ], ids=["nan-tol", "inf-tol", "negative-tol", "zero-tol", "string", "bool-tol"])
+    def test_bad_config(self, tmp_path, capsys, text, message):
+        code, out, _ = run_cli(["z", "--t", "100", "--eval-tol", text], tmp_path)
         assert code == 2 and not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["abs_tol", "quad_step_cap", "em_margin_base",
                                        "em_margin_scale"])
     def test_fixed_constants_are_not_config_fields(self, tmp_path, capsys, field):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({field: 1}))
+        flag = "--" + field.replace("_", "-")
+        code, out, _ = run_cli(["z", "--t", "100", flag, "1"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_config_file_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"eval_tol": 1e-5}))
         code, out, _ = run_cli(["z", "--t", "100", "--config", str(cfg)], tmp_path)
         assert code == 2 and not out.exists()
-        assert "unknown PrecisionConfig fields" in capsys.readouterr().err
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
@@ -190,6 +194,11 @@ class TestBadInputsExit2:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_z_above_max_height(self, tmp_path, capsys):
+        code, out, _ = run_cli(["z", "--t", "1e7"], tmp_path)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: hardy_z requires 0 <= t <= 1e+06\n"
+
     @pytest.mark.parametrize("argv", [
         ["functional", "--kind", "A", "--x", "1", "--sigma", "0.5", "--tau", "1"],
         ["functional", "--kind", "C", "--x", "1", "--sigma", "0.45", "--tau", "1"],
@@ -261,10 +270,8 @@ class TestConfig:
         ["cbar", "--l", "1", "--T", "200", "--H", "40"],
     ], ids=lambda argv: argv[0])
     def test_eval_tol_moves_no_value(self, tmp_path, argv, clear_memos):
-        cfg = tmp_path / "loose.json"
-        cfg.write_text(json.dumps({"eval_tol": 1e-4}))
         outs = []
-        for extra, name in (([], "default.csv"), (["--config", str(cfg)], "loose.csv")):
+        for extra, name in (([], "default.csv"), (["--eval-tol", "1e-4"], "loose.csv")):
             clear_memos()
             code, out, _ = run_cli(argv + extra, tmp_path, name)
             assert code == 0

@@ -361,6 +361,18 @@ class TestHardyZ:
     def test_first_zero(self):
         assert hardy_z(FIRST_ZERO) == pytest.approx(0.0, abs=1e-5)
 
+    def test_single_heights_above_max_height_are_rejected(self):
+        # rs_error_bound is calibrated only up to MAX_HEIGHT = 1e6
+        with pytest.raises(DomainError):
+            hardy_z(2e6)
+        for s in (0.5 + 2e6j, 0.5 - 2e6j, 2.0 + 2e6j):
+            with pytest.raises(DomainError):
+                zeta(s)
+
+    def test_vector_kernel_still_runs_above_max_height(self):
+        # a ladder step from T <= 1e6 evaluates Z up to about 1.03e6
+        assert math.isfinite(hardy_z_many([2e6])[0])
+
     def test_modulus_identity(self):
         # |Z(t)| = |zeta(1/2+it)|, checked across the EM/RS crossover
         for t in [10.0, 30.0, 250.0, 5000.0, 1e6]:
