@@ -16,8 +16,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, verify
 from .argz import s_of_t
-from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PrecisionConfig
-from .config import PrecisionError, ZetaLabError
+from .config import CacheMissError, DomainError, PrecisionError, ZetaLabError
 from .fermat import fermat_equivalence_check
 from .functionals import chain_compare, functional_approximant, substitution_constant
 from .gram import gram_range
@@ -63,9 +62,6 @@ def _flag(*names: str, **kw: Any) -> Tuple[Tuple[str, ...], Dict[str, Any]]:
 
 
 _COMMON = [
-    _flag("--eval-tol", type=float, default=DEFAULT_CONFIG.eval_tol,
-          help="largest accepted error bound of one zeta/Z evaluation; a larger "
-               "one stops the run with exit 4 (default %(default)g)"),
     _flag("--out", help="CSV output path"),
     _flag("--manifest", default="zetalab_manifest.jsonl",
           help="append-only run manifest (JSON lines)"),
@@ -77,7 +73,7 @@ _T = _flag("--t", type=_nonempty_float_list, required=True)
 _SPAN = (_flag("--from", dest="t_lo", type=float, required=True),
          _flag("--to", dest="t_hi", type=float, required=True))
 
-# name -> (help, flags, runner); runner(args, config, cache, manifest) -> (header, rows)
+# name -> (help, flags, runner); runner(args, cache, manifest) -> (header, rows)
 _COMMANDS: Dict[str, Tuple[str, Sequence, Callable]] = {}
 
 
@@ -127,25 +123,25 @@ def _pmap(jobs: int, fn, items: Sequence):
 
 
 @_command("theta", "theta(t) and its derivative", _T)
-def _theta(args, config, cache, manifest):
+def _theta(args, cache, manifest):
     return (["t", "theta", "theta_deriv"],
             [(t, theta(t), theta_deriv(t) if t > 2 * math.pi else None) for t in args.t])
 
 
 @_command("z", "Hardy Z(t)", _T)
-def _z(args, config, cache, manifest):
-    return ["t", "Z"], zip(args.t, _pmap(args.jobs, lambda t: hardy_z(t, config), args.t))
+def _z(args, cache, manifest):
+    return ["t", "Z"], zip(args.t, _pmap(args.jobs, hardy_z, args.t))
 
 
 @_command("s", "S(t) traces", _T)
-def _s(args, config, cache, manifest):
+def _s(args, cache, manifest):
     traces = _pmap(args.jobs, s_of_t, args.t)
     return (["t", "S", "zero_count", "branch_residual"],
             [(tr.t, tr.s_value, tr.zero_count, tr.branch_residual) for tr in traces])
 
 
 @_command("gram", "Gram points in [from, to)", *_SPAN)
-def _gram(args, config, cache, manifest):
+def _gram(args, cache, manifest):
     rng = gram_range(args.t_lo, args.t_hi)
     return ["nu", "t", "residual"], [(p.nu, p.t, p.residual) for p in rng.points]
 
@@ -155,13 +151,13 @@ def _gram(args, config, cache, manifest):
           *_SPAN,
           _flag("--sigma", type=float),
           _flag("--l", type=int))
-def _moments(args, config, cache, manifest):
+def _moments(args, cache, manifest):
     if args.kind == "critical2":
-        est = second_moment_critical(args.t_lo, args.t_hi, config)
+        est = second_moment_critical(args.t_lo, args.t_hi)
     elif args.kind == "sigma2":
         if args.sigma is None:
             raise DomainError("sigma2 requires --sigma")
-        est = second_moment_sigma(args.sigma, args.t_lo, args.t_hi, config)
+        est = second_moment_sigma(args.sigma, args.t_lo, args.t_hi)
     else:
         if args.l is None:
             raise DomainError("s1moment requires --l")
@@ -174,7 +170,7 @@ def _moments(args, config, cache, manifest):
           _flag("--l", type=int, required=True),
           _flag("--T", type=float, required=True),
           _flag("--H", type=float, required=True))
-def _cbar(args, config, cache, manifest):
+def _cbar(args, cache, manifest):
     est = estimate_cbar(args.l, args.T, args.H, cache=cache)
     manifest.add_cbar_key(est.cache_key)
     return ["l", "T", "H", "cbar", "spread"], [(est.l, est.T, est.H, est.cbar, est.spread)]
@@ -183,8 +179,8 @@ def _cbar(args, config, cache, manifest):
 @_command("ladder", "reverse-iteration chain",
           _flag("--T", type=float, required=True),
           _flag("--k", type=int, default=1))
-def _ladder(args, config, cache, manifest):
-    chain = ladder_chain(args.T, args.k, config)
+def _ladder(args, cache, manifest):
+    chain = ladder_chain(args.T, args.k)
     hs = chain.heights()
     return (["r", "T_r", "gap", "slice_integral", "residual"],
             [(r, u, u - t, got, resid) for r, (t, u, got, resid)
@@ -194,7 +190,7 @@ def _ladder(args, config, cache, manifest):
 @_command("sum", "Gram pair / fourth-power sums",
           _flag("--kind", choices=["pair", "fourth"], required=True),
           *_SPAN)
-def _sum(args, config, cache, manifest):
+def _sum(args, cache, manifest):
     res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(args.t_lo, args.t_hi)
     return (["kind", "T", "terms", "value", "main_term", "ratio"],
             [(res.kind, res.t_lo, res.terms, res.value, res.main_term, res.ratio)])
@@ -208,14 +204,14 @@ def _sum(args, config, cache, manifest):
           _flag("--l", type=int),
           _flag("--cbar-T", type=float, help="cache key part for kind B"),
           _flag("--cbar-H", type=float, help="cache key part for kind B"))
-def _functional(args, config, cache, manifest):
+def _functional(args, cache, manifest):
     if args.kind in ("A", "C") and args.sigma is None:
         raise DomainError(f"kind {args.kind} requires --sigma")
     cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
     K = substitution_constant(args.kind, sigma=args.sigma, cbar=cbar)
     manifest.add_constant(f"substitution_K_{args.kind}", K)
     results = _pmap(args.jobs, lambda tau: functional_approximant(
-        args.kind, args.x, tau, sigma=args.sigma, l=args.l, cbar=cbar, config=config), args.tau)
+        args.kind, args.x, tau, sigma=args.sigma, l=args.l, cbar=cbar), args.tau)
     return (["kind", "x", "param", "tau", "T", "value", "rel_err"],
             [(r.kind, r.x, r.param, r.tau, r.T, r.value, r.rel_err) for r in results])
 
@@ -231,10 +227,10 @@ def _functional(args, config, cache, manifest):
           _flag("--cbar-T", type=float),
           _flag("--cbar-H", type=float),
           _flag("--tau", type=_float_list, default=[]))
-def _fermat(args, config, cache, manifest):
+def _fermat(args, cache, manifest):
     cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
     w = fermat_equivalence_check(args.x, args.y, args.z, args.n, kind=args.kind, sigma=args.sigma,
-                                 l=args.l, cbar=cbar, tau_schedule=args.tau, config=config)
+                                 l=args.l, cbar=cbar, tau_schedule=args.tau)
     return (["x", "y", "z", "n", "numerator", "denominator", "is_one", "verdict"],
             [(w.x, w.y, w.z, w.n, w.numerator, w.denominator, w.is_one_exact, w.verdict)])
 
@@ -246,19 +242,19 @@ def _fermat(args, config, cache, manifest):
           _flag("--tau", type=float, required=True),
           _flag("--cbar-T", type=float, required=True),
           _flag("--cbar-H", type=float, required=True))
-def _chain(args, config, cache, manifest):
+def _chain(args, cache, manifest):
     est = _need_cbar(args, cache, manifest)
-    rows = chain_compare(args.x, args.sigma, args.l, args.tau, est, config).values()
+    rows = chain_compare(args.x, args.sigma, args.l, args.tau, est).values()
     return ["kind", "T", "value", "rel_err"], [(r.kind, r.T, r.value, r.rel_err) for r in rows]
 
 
-# name -> suite(args, config, cache)
+# name -> suite(args, cache)
 _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
-    "asymptotics": lambda args, config, cache: verify.asymptotics(args.heights),
-    "gram": lambda args, config, cache: verify.gram(args.nu_max),
-    "branch": lambda args, config, cache: verify.branch(args.n_heights, args.seed),
-    "ladder": lambda args, config, cache: verify.ladder(args.heights, config),
-    "quotients": lambda args, config, cache: verify.quotients(args.heights, config, cache),
+    "asymptotics": lambda args, cache: verify.asymptotics(args.heights),
+    "gram": lambda args, cache: verify.gram(args.nu_max),
+    "branch": lambda args, cache: verify.branch(args.n_heights, args.seed),
+    "ladder": lambda args, cache: verify.ladder(args.heights),
+    "quotients": lambda args, cache: verify.quotients(args.heights, cache),
 }
 
 
@@ -268,8 +264,8 @@ _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
           _flag("--nu-max", type=int, default=20000),
           _flag("--n-heights", type=int, default=25),
           _flag("--seed", type=_nonnegative_int, default=20260809))
-def _verify(args, config, cache, manifest):
-    checks = _SUITES[args.suite](args, config, cache)
+def _verify(args, cache, manifest):
+    checks = _SUITES[args.suite](args, cache)
     return (["check", "status", "detail"],
             [(name, "PASS" if ok else "FAIL", detail) for name, ok, detail in checks])
 
@@ -284,11 +280,10 @@ def _write(path: str, write: Callable[..., Any], *rest: Any) -> Any:
 def _run(args, raw_argv: Sequence[str]) -> int:
     """Run the command, print its rows, write them under its header to --out and
     append the manifest; rows with status FAIL (a check suite) make the exit 3."""
-    config = PrecisionConfig(eval_tol=args.eval_tol)
-    manifest = RunManifest(raw_argv, config)
+    manifest = RunManifest(raw_argv)
     cache = ConstantsCache(
         os.path.join(args.cache_dir, "constants.json") if args.cache_dir else None)
-    header, rows = _COMMANDS[args.command][2](args, config, cache, manifest)
+    header, rows = _COMMANDS[args.command][2](args, cache, manifest)
     rows = csv_cells(rows)
     for row in rows:
         print(",".join(row))

@@ -1,10 +1,12 @@
-"""Precision policy and the error taxonomy shared by all evaluators."""
+"""Precision policy and the error taxonomy shared by all evaluators.
+
+The policy is fixed: ABS_TOL and EVAL_TOL below, the 0.1 panel cap of
+`quad.critical_panel_width`, the sigma steps of `argz.s_of_t` and the
+Euler-Maclaurin cutoff rule of PrecisionConfig.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Real
-from typing import ClassVar
 import math
 
 # Residual gate of the structural solves: the Gram defining equation
@@ -12,36 +14,33 @@ import math
 # and the `verify --suite gram` band.
 ABS_TOL = 1e-10
 
+# The accuracy gate: the largest accepted a-posteriori bound of a single
+# zeta/Z evaluation.  It moves no value: a run returns the same numbers
+# or stops with PrecisionError.
+EVAL_TOL = 1e-5
 
-@dataclass(frozen=True)
+
+def check_eval(bound: float, what: str) -> None:
+    """The accuracy gate: raise PrecisionError when the a-posteriori
+    bound of an evaluation exceeds EVAL_TOL."""
+    if bound > EVAL_TOL:
+        raise PrecisionError(
+            f"{what} attainable only to {bound:.2e} > eval_tol", achievable=bound
+        )
+
+
 class PrecisionConfig:
-    """The accuracy gate, the one settable part of the numerical policy.
+    """The Euler-Maclaurin cutoff rule: N(t) = ceil(|t|/2pi) + margin(t)
+    with margin(t) = max(em_margin_base, ceil(em_margin_scale * sqrt(|t|))).
 
-    eval_tol is the acceptance threshold for the a-posteriori accuracy
-    bound of a single zeta/Z evaluation; a bound above it raises
-    PrecisionError rather than returning a silently degraded value.  It
-    moves no value: a run either returns the same numbers or stops.  The
-    CLI sets it with `--eval-tol`, and `__post_init__` is the one check
-    of its value.  Everything else is fixed: ABS_TOL above, the 0.1 panel
-    cap of `quad.critical_panel_width`, the sigma steps of `argz.s_of_t`
-    and the Euler-Maclaurin cutoff rule below.
+    The sqrt term keeps the attainable truncation floor near 1e-11 at
+    desk heights; a flat margin cannot (its floor grows like 1e-3 by
+    t ~ 5e4).  Nothing here is settable; the benchmark tracer
+    (perfbench/tracer.py) reads the rule from DEFAULT_CONFIG.
     """
 
-    # Euler-Maclaurin cutoff rule: N(t) = ceil(|t|/2pi) + margin(t) with
-    # margin(t) = max(em_margin_base, ceil(em_margin_scale * sqrt(|t|))).
-    # The sqrt term keeps the attainable truncation floor near 1e-11 at
-    # desk heights; a flat margin cannot (its floor grows like 1e-3 by
-    # t ~ 5e4).
-    em_margin_base: ClassVar[int] = 50
-    em_margin_scale: ClassVar[float] = 2.0
-    eval_tol: float = 1e-5
-
-    def __post_init__(self) -> None:
-        value = self.eval_tol
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise DomainError(f"eval_tol must be a number, got {value!r}")
-        if not (value > 0 and math.isfinite(value)):
-            raise DomainError("eval_tol must be positive and finite")
+    em_margin_base = 50
+    em_margin_scale = 2.0
 
     @classmethod
     def em_cutoff(cls, t: float) -> int:
@@ -49,14 +48,6 @@ class PrecisionConfig:
         t = abs(float(t))
         margin = max(cls.em_margin_base, int(math.ceil(cls.em_margin_scale * math.sqrt(t))))
         return int(math.ceil(t / (2.0 * math.pi))) + margin
-
-    def check_eval(self, bound: float, what: str) -> None:
-        """The accuracy gate: raise PrecisionError when the a-posteriori
-        bound of an evaluation exceeds eval_tol."""
-        if bound > self.eval_tol:
-            raise PrecisionError(
-                f"{what} attainable only to {bound:.2e} > eval_tol", achievable=bound
-            )
 
 
 DEFAULT_CONFIG = PrecisionConfig()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .config import DEFAULT_CONFIG, DomainError, PrecisionConfig
+from .config import DomainError
 from .functionals import FunctionalApproximant, functional_approximant
 from .moments import CbarEstimate
 
@@ -81,15 +81,16 @@ def fermat_equivalence_check(
     l: Optional[int] = None,
     cbar: Optional[CbarEstimate] = None,
     tau_schedule: Sequence[float] = (),
-    config: PrecisionConfig = DEFAULT_CONFIG,
 ) -> FermatWitness:
     """Exact arithmetic verdict plus a functional trace at the rational.
 
     tau_schedule must be strictly increasing; the trace target is the
     exact rational evaluated in floating point only for the functional's
-    x argument.  The verdict combines the channels: exact "not one" and a
-    non-diverging approach of the trace to the target.  Disagreement
-    between the channels is flagged loudly rather than averaged away.
+    x argument, so a rational beyond the float range raises DomainError
+    only when a trace is requested.  The verdict combines the channels:
+    exact "not one" and a non-diverging approach of the trace to the
+    target.  Disagreement between the channels is flagged loudly rather
+    than averaged away.
     """
     _check_inputs(x, y, z, n)
     taus = [float(t) for t in tau_schedule]
@@ -98,19 +99,17 @@ def fermat_equivalence_check(
     num = x ** n + y ** n
     den = z ** n
     is_one = num == den
-    target = num / den
 
     trace: List[FunctionalApproximant] = []
-    for tau in taus:
-        trace.append(
-            functional_approximant(
-                kind, target, tau, sigma=sigma, l=l, cbar=cbar, config=config
-            )
-        )
-
-    if not trace:
-        trend_ok = None
-    else:
+    trend_ok = None
+    if taus:
+        try:
+            target = num / den
+        except OverflowError:
+            raise DomainError("(x^n + y^n)/z^n lies beyond the float range; "
+                              "no functional trace can target it") from None
+        trace = [functional_approximant(kind, target, tau, sigma=sigma, l=l, cbar=cbar)
+                 for tau in taus]
         dist = [abs(a.value - target) for a in trace]
         trend_ok = all(b <= a * (1.0 + 1e-9) for a, b in zip(dist, dist[1:]))
 

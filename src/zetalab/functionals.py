@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from scipy.special import zeta as real_zeta
 
-from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PrecisionConfig
+from .config import CacheMissError, DomainError, check_eval
 from .ladders import _reverse_iterate, reverse_iterate
 from .moments import CbarEstimate, check_sigma, s1_moment, second_moment_sigma
 from .quad import check_error
@@ -65,36 +65,36 @@ def substitution_constant(
     return 4.0 * math.pi ** 3 / float(real_zeta(2.0 * sigma)) ** 5
 
 
-def _crit_window(T: float, config: PrecisionConfig) -> float:
+def _crit_window(T: float) -> float:
     """The integral of Z^2 over the ladder step [T, T^1], read from the
     step that solved for it (the `ladders._reverse_iterate` memo) under
     the two gates of `second_moment_critical`: Z's accuracy bound at T^1
     and the 1% quadrature gate."""
     U, window, err = _reverse_iterate(float(T))
-    config.check_eval(float(rs_error_bound(U)), f"Z on [{T}, {U}]")
+    check_eval(float(rs_error_bound(U)), f"Z on [{T}, {U}]")
     return check_error(window, err, what="critical2")[0]
 
 
 @functools.lru_cache(maxsize=None)
-def _sigma_window(sigma: float, T: float, config: PrecisionConfig) -> float:
-    return second_moment_sigma(sigma, T, reverse_iterate(T), config).value
+def _sigma_window(sigma: float, T: float) -> float:
+    return second_moment_sigma(sigma, T, reverse_iterate(T)).value
 
 
-def quotient_zeta(sigma: float, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def quotient_zeta(sigma: float, T: float) -> float:
     """Ratio of the critical-line to sigma-line second moment over [T, T^1].
 
     Compare against ln T / zeta(2 sigma).
     """
     check_sigma(sigma)
-    return _crit_window(T, config) / _sigma_window(sigma, T, config)
+    return _crit_window(T) / _sigma_window(sigma, T)
 
 
-def quotient_s1(l: int, T: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def quotient_s1(l: int, T: float) -> float:
     """Ratio of the critical-line second moment to the |S1|^{2l} moment
     over [T, T^1].  Compare against ln T / cbar(l)."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    return _crit_window(T, config) / s1_moment(l, T, reverse_iterate(T)).value
+    return _crit_window(T) / s1_moment(l, T, reverse_iterate(T)).value
 
 
 def functional_approximant(
@@ -104,7 +104,6 @@ def functional_approximant(
     sigma: Optional[float] = None,
     l: Optional[int] = None,
     cbar: Optional[CbarEstimate] = None,
-    config: PrecisionConfig = DEFAULT_CONFIG,
 ) -> FunctionalApproximant:
     """Finite-tau value of the kind A/B/C functional at target x.
 
@@ -120,9 +119,9 @@ def functional_approximant(
     if T < MIN_IMPLIED_T:
         raise DomainError(f"implied T = {T:.3g} < {MIN_IMPLIED_T}; increase tau")
     U = reverse_iterate(T)
-    den = _crit_window(T, config)
+    den = _crit_window(T)
     if kind in ("A", "C"):
-        num = _sigma_window(sigma, T, config)
+        num = _sigma_window(sigma, T)
         param = float(sigma)
     else:
         if l is None:
@@ -147,12 +146,7 @@ def functional_approximant(
 
 
 def chain_compare(
-    x: float,
-    sigma: float,
-    l: int,
-    tau: float,
-    cbar: CbarEstimate,
-    config: PrecisionConfig = DEFAULT_CONFIG,
+    x: float, sigma: float, l: int, tau: float, cbar: CbarEstimate
 ) -> Dict[str, FunctionalApproximant]:
     """All three functionals at the same x and implied height, by kind.
 
@@ -168,7 +162,7 @@ def chain_compare(
     tau_b = T_ref / (substitution_constant("B", cbar=cbar) * x)
     tau_c = T_ref / (substitution_constant("C", sigma=sigma) * x)
     return {
-        "A": functional_approximant("A", x, tau, sigma=sigma, config=config),
-        "B": functional_approximant("B", x, tau_b, l=l, cbar=cbar, config=config),
-        "C": functional_approximant("C", x, tau_c, sigma=sigma, config=config),
+        "A": functional_approximant("A", x, tau, sigma=sigma),
+        "B": functional_approximant("B", x, tau_b, l=l, cbar=cbar),
+        "C": functional_approximant("C", x, tau_c, sigma=sigma),
     }

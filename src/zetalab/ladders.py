@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import ABS_TOL, DEFAULT_CONFIG, DomainError, PrecisionConfig, RootError
+from .config import ABS_TOL, DomainError, RootError
 from .moments import second_moment_critical
 from .quad import _gl_inner_gap, critical_panel_width, gauss_panels, panel_sums
 from .zeta import _BLOCK, EULER_GAMMA, MAX_HEIGHT, hardy_z_many
@@ -151,7 +151,7 @@ def _reverse_iterate(T: float) -> Tuple[float, float, float]:
     return u, window, base_err + abs(t16 - tail(u, 8))
 
 
-def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> LadderChain:
+def ladder_chain(T: float, k: int) -> LadderChain:
     """k reverse iterates of T with their defining-equation residuals."""
     if not (1 <= k <= 20):
         raise DomainError("need 1 <= k <= 20")
@@ -162,7 +162,7 @@ def ladder_chain(T: float, k: int, config: PrecisionConfig = DEFAULT_CONFIG) -> 
     for _ in range(k):
         nxt = reverse_iterate(cur)
         target = (1.0 - EULER_GAMMA) * cur
-        got = second_moment_critical(cur, nxt, config).value
+        got = second_moment_critical(cur, nxt).value
         iterates.append(nxt)
         residuals.append(abs(got - target))
         slices.append(got)

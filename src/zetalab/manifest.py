@@ -1,22 +1,19 @@
 """Run manifests and CSV output with a fixed numeric format.
 
 Every CLI run appends one JSON record to the manifest log: the command
-line, the precision-config snapshot, any substitution constants and
-cache keys consumed, wall-clock, and a sha256 digest of every file it
-wrote.  The log is append-only; CSV payloads are deterministic, the
-manifest's timestamps are not meant to be.
+line, any substitution constants and cache keys consumed, wall-clock,
+and a sha256 digest of every file it wrote.  The log is append-only;
+CSV payloads are deterministic, the manifest's timestamps are not meant
+to be.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from .config import PrecisionConfig
 
 CSV_ENCODING = "utf-8"
 
@@ -54,10 +51,9 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -
 class RunManifest:
     """Accumulates one run's provenance, then appends it to the log."""
 
-    def __init__(self, argv: Sequence[str], config: PrecisionConfig):
+    def __init__(self, argv: Sequence[str]):
         self.record: Dict = {
             "argv": list(argv),
-            "config": dataclasses.asdict(config),
             "constants": {},
             "cbar_keys": [],
             "outputs": {},

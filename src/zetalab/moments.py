@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from .argz import shared_s1_evaluator
-from .config import CacheMissError, DEFAULT_CONFIG, DomainError, PoleError, PrecisionConfig
+from .config import CacheMissError, DomainError, PoleError, check_eval
 from .quad import (
     _GK_X, _nodes, check_error, critical_panel_width, integrate_panels, kronrod_sums,
     sigma_panel_runs,
@@ -83,15 +83,13 @@ def check_sigma(sigma: float) -> None:
         raise DomainError("sigma must be finite and >= 1/2 + 0.01")
 
 
-def second_moment_critical(
-    t_lo: float, t_hi: float, config: PrecisionConfig = DEFAULT_CONFIG
-) -> MomentEstimate:
+def second_moment_critical(t_lo: float, t_hi: float) -> MomentEstimate:
     """Hardy-Littlewood integral of Z(t)^2 over [t_lo, t_hi]."""
     _check_window(t_lo, t_hi)
     if t_lo == t_hi:
         return _finish(t_lo, t_hi, "critical2", None, 0.0, 0.0)
     if t_hi >= RS_CROSSOVER:
-        config.check_eval(float(rs_error_bound(t_hi)), f"Z on [{t_lo}, {t_hi}]")
+        check_eval(float(rs_error_bound(t_hi)), f"Z on [{t_lo}, {t_hi}]")
     width = critical_panel_width(t_hi)
 
     def f(ts: np.ndarray) -> np.ndarray:
@@ -102,12 +100,7 @@ def second_moment_critical(
     return _finish(t_lo, t_hi, "critical2", None, value, err)
 
 
-def second_moment_sigma(
-    sigma: float,
-    t_lo: float,
-    t_hi: float,
-    config: PrecisionConfig = DEFAULT_CONFIG,
-) -> MomentEstimate:
+def second_moment_sigma(sigma: float, t_lo: float, t_hi: float) -> MomentEstimate:
     """Second moment of |zeta(sigma+it)| over [t_lo, t_hi], sigma >= 0.51.
 
     GK21 on the panels of `sigma_panel_runs`: two mean zero gaps wide,
@@ -122,7 +115,7 @@ def second_moment_sigma(
         return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
     if sigma == 1.0 and t_lo == 0.0:
         raise PoleError(f"[{t_lo}, {t_hi}] meets the pole s = 1; the moment diverges")
-    config.check_eval(em_error_bound(sigma, t_hi), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
+    check_eval(em_error_bound(sigma, t_hi), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
 
     runs = sigma_panel_runs(sigma, t_lo, t_hi)
     vals = np.concatenate([zeta_abs2_panels(sigma, mids, half) for mids, half in runs])

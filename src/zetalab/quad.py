@@ -164,8 +164,11 @@ def kronrod_sums(vals: np.ndarray, half: np.ndarray) -> Tuple[float, float]:
 
 
 def check_error(value: float, err: float, what: str = "integral") -> Tuple[float, float]:
-    """The moments-module acceptance gate: the a-posteriori estimate must
-    stay below 1% of the value."""
+    """The moments-module acceptance gate: the value and its a-posteriori
+    estimate must be finite, and the estimate below 1% of the value."""
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise PrecisionError(f"{what}: value {value} or its error estimate {err} is not finite",
+                             achievable=err)
     if err > 0.01 * max(abs(value), 1e-300) and err > 1e-12:
         raise PrecisionError(
             f"{what}: quadrature error {err:.3e} exceeds 1% of value {value:.6e}",

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import zeta as real_zeta
 
 from . import argz, functionals, gram as gram_mod, ladders, moments, sums
-from .config import ABS_TOL, DEFAULT_CONFIG, DomainError, PrecisionConfig
+from .config import ABS_TOL, DomainError
 from .zeta import EULER_GAMMA
 
 Check = Tuple[str, bool, str]
@@ -55,13 +55,13 @@ def branch(n_heights: int, seed: int) -> List[Check]:
             ("branch-count-vs-signchanges", count_ok, f"{n_heights} heights")]
 
 
-def ladder(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -> List[Check]:
+def ladder(heights: Sequence[float]) -> List[Check]:
     """Each step T -> U meets its defining equation to 1e-6*T, gap/pred in [0.8, 1.2]."""
     if len(heights) == 0:
         raise DomainError("the ladder suite needs at least one height")
     checks = []
     for T in heights:
-        chain = ladders.ladder_chain(T, 1, config)
+        chain = ladders.ladder_chain(T, 1)
         U, resid = chain.iterates[0], chain.residuals[0]
         gap_pred = (1.0 - EULER_GAMMA) * T / math.log(T)
         checks.append((f"ladder-residual-T={T:g}", resid <= 1e-6 * T, f"resid={resid:.3e}"))
@@ -70,19 +70,19 @@ def ladder(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG) -
     return checks
 
 
-def quotients(heights: Sequence[float], config: PrecisionConfig = DEFAULT_CONFIG,
+def quotients(heights: Sequence[float],
               cache: Optional[moments.ConstantsCache] = None) -> List[Check]:
     """The zeta and S1 quotients over ln T, in [0.85, 1.15] and [0.7, 1.3]."""
     if len(heights) == 0:
         raise DomainError("the quotients suite needs at least one height")
     checks = []
     for T in heights:
-        qz = functionals.quotient_zeta(1.0, T, config)
+        qz = functionals.quotient_zeta(1.0, T)
         check = qz * float(real_zeta(2.0)) / math.log(T)
         checks.append((f"quotient-zeta-T={T:g}", 0.85 <= check <= 1.15,
                        f"normalized={check:.4f}"))
         est = moments.estimate_cbar(1, T, max(T ** 0.6, T / 10.0), cache=cache)
-        qs = functionals.quotient_s1(1, T, config)
+        qs = functionals.quotient_s1(1, T)
         s_check = qs * est.cbar / math.log(T)
         checks.append((f"quotient-s1-T={T:g}", 0.7 <= s_check <= 1.3,
                        f"normalized={s_check:.4f} cbar={est.cbar:.4f}"))

@@ -57,12 +57,7 @@ import numpy as np
 from scipy.special import digamma, loggamma, poch
 from scipy.special import zeta as real_zeta
 
-from .config import (
-    DEFAULT_CONFIG,
-    DomainError,
-    PoleError,
-    PrecisionConfig,
-)
+from .config import DomainError, PoleError, PrecisionConfig, check_eval
 from .quad import _GK_X
 
 TWO_PI = 2.0 * math.pi
@@ -278,18 +273,18 @@ def hardy_z_many(t) -> np.ndarray:
     return out
 
 
-def hardy_z(t: float, config: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def hardy_z(t: float) -> float:
     """Hardy's Z(t) = e^{i theta(t)} zeta(1/2+it), real-valued.
 
     Raises PrecisionError when the a-posteriori accuracy bound exceeds
-    config.eval_tol, and DomainError above MAX_HEIGHT.
+    EVAL_TOL, and DomainError above MAX_HEIGHT.
     """
     tf = float(t)
     _as_height_array(tf)
     if tf > MAX_HEIGHT:
         raise DomainError(f"hardy_z requires 0 <= t <= {MAX_HEIGHT:g}")
     if tf >= RS_CROSSOVER:
-        config.check_eval(float(rs_error_bound(tf)), f"Z({tf})")
+        check_eval(float(rs_error_bound(tf)), f"Z({tf})")
     return float(hardy_z_many(np.array([tf]))[0])
 
 
@@ -505,10 +500,10 @@ def em_error_bound(sigma: float, t: float) -> float:
     return term * safety + em_roundoff_bound(t, int(N))
 
 
-def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
+def zeta(s) -> complex:
     """zeta(sigma+it) for sigma > 0, s != 1 and |t| <= MAX_HEIGHT, by the
     fixed Euler-Maclaurin policy; the a-posteriori bound must stay below
-    config.eval_tol.
+    EVAL_TOL.
 
     On the critical line above the Z crossover the value is reassembled
     from the Riemann-Siegel Z, which callers should prefer anyway.
@@ -524,11 +519,11 @@ def zeta(s, config: PrecisionConfig = DEFAULT_CONFIG) -> complex:
     if abs(s.imag) > MAX_HEIGHT:
         raise DomainError(f"zeta requires |t| <= {MAX_HEIGHT:g}")
     if s.imag < 0.0:
-        return complex(np.conj(zeta(complex(s.real, -s.imag), config)))
+        return complex(np.conj(zeta(complex(s.real, -s.imag))))
     if s.real == 0.5 and s.imag >= RS_CROSSOVER:
-        config.check_eval(float(rs_error_bound(s.imag)), f"Z({s.imag})")
+        check_eval(float(rs_error_bound(s.imag)), f"Z({s.imag})")
     else:
-        config.check_eval(em_error_bound(s.real, s.imag), f"zeta({s})")
+        check_eval(em_error_bound(s.real, s.imag), f"zeta({s})")
     return _zeta_point(s.real, s.imag)
 
 

@@ -1,6 +1,8 @@
 """CLI behavior: CSV outputs, exit codes, manifests, determinism."""
 
+import ast
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -13,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetalab import cli
+import zetalab
+from zetalab import cli, config, verify
 from zetalab.cli import main
 from zetalab.manifest import csv_cells
 
@@ -83,31 +86,39 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_precision_error_is_4(self, tmp_path):
+    def test_precision_error_is_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config, "EVAL_TOL", 1e-18)
         code, _, _ = run_cli(
-            ["moments", "--kind", "sigma2", "--sigma", "1.0",
-             "--from", "52000", "--to", "52010", "--eval-tol", "1e-18"],
+            ["moments", "--kind", "sigma2", "--sigma", "1.0", "--from", "52000", "--to", "52010"],
             tmp_path,
         )
         assert code == 4
 
+    def test_quadrature_gate_is_4(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["moments", "--kind", "s1moment", "--l", "1000", "--from", "200", "--to", "240"],
+            tmp_path,
+        )
+        assert code == 4 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("precision error: s1moment: quadrature error ")
+        assert "exceeds 1% of value" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_moment_is_4(self, tmp_path, capsys):
+        # |S1|^2400 overflows: the moment is inf and its estimate NaN
+        code, out, _ = run_cli(
+            ["moments", "--kind", "s1moment", "--l", "1200", "--from", "200", "--to", "240"],
+            tmp_path,
+        )
+        assert code == 4 and not out.exists()
+        assert capsys.readouterr().err == (
+            "precision error: s1moment: value inf or its error estimate nan is not finite\n")
+
 
 class TestBadInputsExit2:
-    @pytest.mark.parametrize("text, message", [
-        ("nan", "error: eval_tol must be positive and finite"),
-        ("inf", "error: eval_tol must be positive and finite"),
-        ("-1", "error: eval_tol must be positive and finite"),
-        ("0", "error: eval_tol must be positive and finite"),
-        ("x", "argument --eval-tol: invalid float value: 'x'"),
-        ("true", "argument --eval-tol: invalid float value: 'true'"),
-    ], ids=["nan-tol", "inf-tol", "negative-tol", "zero-tol", "string", "bool-tol"])
-    def test_bad_config(self, tmp_path, capsys, text, message):
-        code, out, _ = run_cli(["z", "--t", "100", "--eval-tol", text], tmp_path)
-        assert code == 2 and not out.exists()
-        assert message in capsys.readouterr().err
-
     @pytest.mark.parametrize("field", ["abs_tol", "quad_step_cap", "em_margin_base",
-                                       "em_margin_scale"])
+                                       "em_margin_scale", "eval_tol"])
     def test_fixed_constants_are_not_config_fields(self, tmp_path, capsys, field):
         flag = "--" + field.replace("_", "-")
         code, out, _ = run_cli(["z", "--t", "100", flag, "1"], tmp_path)
@@ -261,24 +272,6 @@ class TestHeightsAboveMaxHeight:
         assert not (tmp_path / "out.csv").exists()
 
 
-class TestConfig:
-    """eval_tol, the one config field, is a gate: a run under a looser one
-    returns the same bytes as under the default, or none at all."""
-
-    @pytest.mark.parametrize("argv", [
-        ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "6,7"],
-        ["cbar", "--l", "1", "--T", "200", "--H", "40"],
-    ], ids=lambda argv: argv[0])
-    def test_eval_tol_moves_no_value(self, tmp_path, argv, clear_memos):
-        outs = []
-        for extra, name in (([], "default.csv"), (["--eval-tol", "1e-4"], "loose.csv")):
-            clear_memos()
-            code, out, _ = run_cli(argv + extra, tmp_path, name)
-            assert code == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-
 class TestFermatCommand:
     def test_witness_csv(self, tmp_path):
         code, out, _ = run_cli(
@@ -289,6 +282,19 @@ class TestFermatCommand:
         assert lines[0] == "x,y,z,n,numerator,denominator,is_one,verdict"
         fields = lines[1].split(",")
         assert fields[4] == "91" and fields[5] == "125" and fields[6] == "false"
+
+    def test_rational_beyond_the_float_range(self, tmp_path, capsys):
+        # (9^2000 + 9^2000) / 1 has no float; only a functional trace needs one
+        argv = ["fermat", "--x", "9", "--y", "9", "--z", "1", "--n", "2000"]
+        code, out, _ = run_cli(argv, tmp_path)
+        assert code == 0
+        assert out.read_text().splitlines()[1].endswith(
+            ",1,false,not-one (exact); no functional trace requested")
+        code, out, _ = run_cli(argv + ["--tau", "1"], tmp_path, "traced.csv")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == ("error: (x^n + y^n)/z^n lies beyond the float range; "
+                       "no functional trace can target it\n")
 
 
 class TestCbarAndChain:
@@ -440,6 +446,41 @@ def test_readme_cli_examples_parse_and_cover_every_command():
     assert {argv[0] for argv in examples} == set(cli._COMMANDS)
 
 
+def test_readme_library_examples_bind_to_the_api():
+    # each zl.<name>(...) call binds to its function's signature; nothing runs
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```")[0]
+    calls = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and getattr(node.func.value, "id", "") == "zl"]
+    assert len(calls) >= 10
+
+    def value(node):
+        return object() if isinstance(node, ast.Name) else ast.literal_eval(node)
+
+    for call in calls:
+        name = call.func.attr
+        assert name in zetalab.__all__, name
+        try:
+            inspect.signature(getattr(zetalab, name)).bind(
+                *map(value, call.args), **{kw.arg: value(kw.value) for kw in call.keywords})
+        except TypeError as e:
+            pytest.fail(f"README example zl.{name}(...) does not bind: {e}")
+
+
+def test_no_public_callable_takes_config():
+    public = [getattr(zetalab, name) for name in zetalab.__all__]
+    public = [f for f in public
+              if callable(f) and not (inspect.isclass(f) and issubclass(f, Exception))]
+    runners = [run for _, _, run in cli._COMMANDS.values()] + list(cli._SUITES.values())
+    suites = [f for name, f in vars(verify).items()
+              if inspect.isfunction(f) and f.__module__ == verify.__name__
+              and not name.startswith("_")]
+    assert runners and suites
+    takes = [getattr(f, "__qualname__", repr(f)) for f in public + runners + suites
+             if "config" in inspect.signature(f).parameters]
+    assert takes == []
+
+
 class TestManifest:
     def test_digest_matches_file(self, tmp_path):
         code, out, manifest = run_cli(
@@ -449,7 +490,7 @@ class TestManifest:
         rec = json.loads(manifest.read_text().splitlines()[-1])
         digest = rec["outputs"][str(out)]
         assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
-        assert rec["config"] == {"eval_tol": 1e-5}
+        assert "config" not in rec
         assert rec["argv"][0] == "sum" or "sum" in rec["argv"]
 
     def test_append_only(self, tmp_path):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from zetalab import (
-    DEFAULT_CONFIG,
     CacheMissError,
     DomainError,
-    PrecisionConfig,
     PrecisionError,
     chain_compare,
     estimate_cbar,
@@ -22,7 +20,7 @@ from zetalab import (
     reverse_iterate,
     substitution_constant,
 )
-from zetalab import functionals, ladders, moments, sums
+from zetalab import config, functionals, ladders, moments, sums
 from zetalab.quad import panel_sums
 
 ZETA2 = math.pi ** 2 / 6.0
@@ -146,7 +144,7 @@ class TestCriticalWindow:
     @pytest.mark.parametrize("T", [1e3, 2.5e3, 1e4, 5e4])
     def test_window_matches_independent_integrations(self, T):
         U, window, err = ladders._reverse_iterate(T)
-        assert functionals._crit_window(T, DEFAULT_CONFIG) == window
+        assert functionals._crit_window(T) == window
         est = second_moment_critical(T, reverse_iterate(T))
         assert abs(window - est.value) <= est.quad_error
         # GL32 on panels 0.05 wide
@@ -171,15 +169,16 @@ class TestCriticalWindow:
         assert "zetalab.moments" not in points
         assert sum(points.values()) <= 60_000
 
-    def test_evaluation_gate(self):
-        # Z's truncation bound at T^1 against eval_tol, as in second_moment_critical
+    def test_evaluation_gate(self, monkeypatch):
+        # Z's truncation bound at T^1 against EVAL_TOL, as in second_moment_critical
+        monkeypatch.setattr(config, "EVAL_TOL", 1e-18)
         with pytest.raises(PrecisionError, match="Z on"):
-            quotient_zeta(1.0, 1e3, PrecisionConfig(eval_tol=1e-18))
+            quotient_zeta(1.0, 1e3)
 
     def test_quadrature_gate(self, monkeypatch):
         monkeypatch.setattr(functionals, "_reverse_iterate", lambda T: (T + 1.0, 1.0, 0.02))
         with pytest.raises(PrecisionError, match="critical2"):
-            functionals._crit_window(1e3, DEFAULT_CONFIG)
+            functionals._crit_window(1e3)
 
 
 class TestChainCompare:

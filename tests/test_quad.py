@@ -52,6 +52,13 @@ def test_error_gate_raises():
         check_error(*integrate_panels(f, 0.0, 1.0, width=0.5, order=2))
 
 
+@pytest.mark.parametrize("value, err", [(math.inf, math.nan), (1.0, math.nan)])
+def test_error_gate_rejects_non_finite(value, err):
+    # an overflowed |S1|^2l moment gives (inf, nan); NaN fails every comparison
+    with pytest.raises(PrecisionError, match="not finite"):
+        check_error(value, err)
+
+
 def test_panel_width_rule():
     # cap binds at desk heights; the zero-gap term takes over only when
     # ln(t/2pi) > 4 / step_cap * pi / 2... just pin the two regimes

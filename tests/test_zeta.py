@@ -137,10 +137,10 @@ class TestZeta:
             assert err <= em_error_bound(sigma, t)
 
     def test_precision_error_when_unattainable(self):
-        tight = PrecisionConfig(eval_tol=1e-18)
+        # the Euler-Maclaurin bound at sigma = 0.1, t = 9e5 is 1.7e-4 > EVAL_TOL
         with pytest.raises(PrecisionError) as exc:
-            zeta(1.0 + 52000.0j, tight)
-        assert exc.value.achievable is not None
+            zeta(complex(0.1, 9e5))
+        assert exc.value.achievable > 1e-5
 
 
 def _next_prime(n):
@@ -394,9 +394,8 @@ class TestHardyZ:
 
     def test_em_rs_crossover_consistency(self):
         # both routes are accurate near the crossover; they must agree
-        cfg = PrecisionConfig()
         for t in [50.0, 51.3, 64.7]:
-            rs = hardy_z(t, cfg)
+            rs = hardy_z(t)
             em = float(np.real(np.exp(1j * theta(t))
                                * complex(mp.zeta(mp.mpc(0.5, t)))))
             assert rs == pytest.approx(em, abs=5e-6)
