@@ -23,6 +23,7 @@ import numpy as np
 from .config import AmbiguousBranchError, DomainError, TrackingError
 from .quad import panel_sums
 from .zeta import (
+    _BLOCK,
     MAX_HEIGHT,
     RS_CROSSOVER,
     TWO_PI,
@@ -341,7 +342,6 @@ class S1Evaluator:
 
     _THETA_PANEL = 2.0
     _THETA_ORDER = 16
-    _THETA_BLOCK = 4096  # query points per GL16 call, so its arrays stay small
 
     def __init__(self):
         self.zeros_cache = ZeroCache()
@@ -372,22 +372,19 @@ class S1Evaluator:
 
     def _theta_integral(self, tab: _S1Tables, t: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(tab.edges, t, side="right") - 1, 0, len(tab.edges) - 2)
-        lo, n = tab.edges[i], self._THETA_BLOCK
+        lo, n = tab.edges[i], _BLOCK  # blocks of query points keep GL16's arrays small
         return tab.theta_prefix[i] + np.concatenate([
             panel_sums(theta, lo[j:j + n], t[j:j + n], self._THETA_ORDER)
             for j in range(0, max(len(t), 1), n)])
 
     def value_many(self, t) -> np.ndarray:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0):
-            raise DomainError("S1 requires t >= 0")
+        if not np.all((0.0 <= t) & (t <= MAX_HEIGHT)):
+            raise DomainError(f"S1 requires 0 <= t <= {MAX_HEIGHT:g}")
         tab = self.ensure(float(t.max()) if len(t) else 0.0)
         k = np.searchsorted(tab.zeros, t)
         zsum = t * k - tab.zero_prefix[k]
         return zsum - t - self._theta_integral(tab, t) / math.pi
-
-    def value(self, t: float) -> float:
-        return float(self.value_many(np.array([float(t)]))[0])
 
     def zeros_in(self, a: float, b: float) -> np.ndarray:
         tab = self.ensure(b)
@@ -407,9 +404,4 @@ def shared_s1_evaluator() -> S1Evaluator:
 
 def s1_of_t(t: float) -> float:
     """S1(t), the antiderivative of S, via the shared evaluator."""
-    t = float(t)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError("s1_of_t requires finite t >= 0")
-    if t == 0.0:
-        return 0.0
-    return shared_s1_evaluator().value(t)
+    return float(shared_s1_evaluator().value_many(float(t))[0])

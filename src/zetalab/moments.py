@@ -118,9 +118,10 @@ def second_moment_sigma(sigma: float, t_lo: float, t_hi: float) -> MomentEstimat
     check_eval(em_error_bound(sigma, t_hi), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
 
     runs = sigma_panel_runs(sigma, t_lo, t_hi)
-    vals = np.concatenate([zeta_abs2_panels(sigma, mids, half) for mids, half in runs])
     halves = np.concatenate([np.full(len(mids), half) for mids, half in runs])
-    value, err = check_error(*kronrod_sums(vals, halves), what="sigma2")
+    with np.errstate(over="ignore", invalid="ignore"):  # check_error rejects inf and nan
+        vals = np.concatenate([zeta_abs2_panels(sigma, mids, half) for mids, half in runs])
+        value, err = check_error(*kronrod_sums(vals, halves), what="sigma2")
     return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
 
 
@@ -151,8 +152,9 @@ def s1_moment(l: int, t_lo: float, t_hi: float) -> MomentEstimate:
     ev = shared_s1_evaluator()
     edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
     nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
-    vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
-    value, err = check_error(*kronrod_sums(vals, half), what="s1moment")
+    with np.errstate(over="ignore", invalid="ignore"):  # check_error rejects inf and nan
+        vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
+        value, err = check_error(*kronrod_sums(vals, half), what="s1moment")
     return _finish(t_lo, t_hi, "s1moment", float(l), value, err)
 
 

@@ -4,7 +4,8 @@ Index inclusion follows t_nu in [t_lo, t_hi); the paired factor
 Z^2(t_{nu+1}) may use the Gram point just outside the window.  When the
 window is exactly [T, 2T) the established main term is attached:
 (3/4pi^5) T ln^5 T for the pair sum, (1/4pi^3) T ln^5 T for the
-fourth-power sum.
+fourth-power sum.  `verify_asymptotic_trend` reports those ratios over
+a run of heights; `zetalab.verify` judges them.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class TrendReport:
     kind: str
     heights: List[float]
     ratios: List[float]
-    fitted: List[float]  # |r - 1| * ln T
-    passed: bool  # |r - 1| non-increasing across the top two heights
 
 
 _KINDS = ("pair", "fourth")
@@ -96,21 +95,13 @@ def fourth_power_sum(t_lo: float, t_hi: float) -> SumResult:
 
 
 def verify_asymptotic_trend(kind: str, heights: Sequence[float]) -> TrendReport:
-    """Ratios r(T) over [T, 2T) plus the fitted |r-1| ln T sequence.
-
-    PASS means |r-1| does not increase from the second-highest to the
-    highest height.
-    """
-    if kind not in ("pair", "fourth"):
+    """Ratios r(T) of the sum over [T, 2T) to its main term, one per
+    height; `zetalab.verify.asymptotics` judges them."""
+    if kind not in _KINDS:
         raise DomainError("kind must be 'pair' or 'fourth'")
     hs = [float(h) for h in heights]
     if len(hs) < 3 or any(b <= a for a, b in zip(hs, hs[1:])):
         raise DomainError("need at least 3 strictly increasing heights")
-    ratios = []
-    for T in hs:
-        res = _gram_sum(T, 2.0 * T, kind)
-        assert res.ratio is not None
-        ratios.append(res.ratio)
-    fitted = [abs(r - 1.0) * math.log(T) for r, T in zip(ratios, hs)]
-    passed = abs(ratios[-1] - 1.0) <= abs(ratios[-2] - 1.0)
-    return TrendReport(kind=kind, heights=hs, ratios=ratios, fitted=fitted, passed=passed)
+    # a [T, 2T) window always carries its main term, hence a ratio
+    ratios = [_gram_sum(T, 2.0 * T, kind).ratio for T in hs]
+    return TrendReport(kind=kind, heights=hs, ratios=ratios)

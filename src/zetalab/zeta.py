@@ -225,7 +225,7 @@ def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
     tau = np.sqrt(ts / TWO_PI)
     m = np.floor(tau).astype(np.int64)
     p = tau - m
-    th = np.imag(loggamma(0.25 + 0.5j * ts)) - 0.5 * ts * LN_PI
+    th = theta(ts)
     mmax = int(m.max())
     width = _rs_width(mmax)
     n = np.arange(1, width + 1, dtype=float)
@@ -541,13 +541,10 @@ def zeta_abs2_line(sigma: float, t) -> np.ndarray:
     """|zeta(sigma+it)|^2 for an array of heights on one sigma-line.
 
     Euler-Maclaurin at every point, one cutoff per block of _BLOCK
-    points; sigma == 0.5 delegates to Z via |zeta| = |Z|.  Quadrature
-    on equal-width panels uses `zeta_abs2_panels` instead.
+    points.  Quadrature on equal-width panels uses `zeta_abs2_panels`
+    instead.
     """
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
-    if sigma == 0.5:
-        z = hardy_z_many(ts)
-        return z * z
     if sigma <= 0.0:
         raise DomainError("sigma-line evaluations require sigma > 0")
     out = np.empty(len(ts))

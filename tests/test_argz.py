@@ -19,7 +19,7 @@ from zetalab import (
     theta,
 )
 from zetalab.quad import gauss_panels
-from zetalab.zeta import MAX_HEIGHT, RS_CROSSOVER, TWO_PI, hardy_z_many
+from zetalab.zeta import _BLOCK, MAX_HEIGHT, RS_CROSSOVER, TWO_PI, hardy_z_many
 
 FIRST_ZEROS = [14.134725141734694, 21.022039638771555, 25.010857580145689,
                30.424876125859513, 32.935061587739190]
@@ -50,6 +50,18 @@ class TestSofT:
         # mp.nzeros is an independent zero counter
         for t in [50.0, 100.0, 500.5]:
             assert s_of_t(t).zero_count == int(mp.nzeros(t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(10.0, 1e4))
+    def test_integrality_and_count_property(self, t):
+        # at any height N(t) is an integer and the zero scan agrees; a
+        # height numerically at a zero may refuse to pick a branch
+        try:
+            tr = s_of_t(t)
+        except AmbiguousBranchError:
+            return
+        assert tr.branch_residual <= 1e-8
+        assert tr.zero_count == shared_s1_evaluator().zeros_cache.count_below(t)
 
     def test_rejects_zero_ordinate(self):
         with pytest.raises(AmbiguousBranchError):
@@ -260,6 +272,13 @@ class TestS1:
     def test_at_zero(self):
         assert s1_of_t(0.0) == 0.0
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 2e6])
+    def test_rejects_heights_outside_the_domain(self, t):
+        # one check, before the zero scan is asked for t
+        for evaluate in (s1_of_t, shared_s1_evaluator().value_many):
+            with pytest.raises(DomainError, match=r"^S1 requires 0 <= t <= 1e\+06$"):
+                evaluate(t)
+
     def test_derivative_is_s(self):
         t, h = 200.0, 1e-3
         fd = (s1_of_t(t + h) - s1_of_t(t - h)) / (2 * h)
@@ -297,15 +316,15 @@ class TestS1:
         assert np.all(np.abs(v1 - v0) <= (smax + 1.0) * delta)
 
     def test_value_many_does_not_depend_on_the_batch(self):
-        # the theta integral runs in blocks of _THETA_BLOCK query points;
+        # the theta integral runs in blocks of _BLOCK query points;
         # a point's value must not depend on the block it lands in
         ev = shared_s1_evaluator()
-        ts = np.linspace(100.0, 1000.0, 2 * ev._THETA_BLOCK + 3)
+        ts = np.linspace(100.0, 1000.0, 2 * _BLOCK + 3)
         ev.ensure(1000.0)
         whole = ev.value_many(ts)
         assert np.array_equal(whole, np.concatenate([ev.value_many(ts[:5]),
                                                      ev.value_many(ts[5:])]))
-        assert whole[-1] == ev.value(1000.0)
+        assert whole[-1] == s1_of_t(1000.0)
 
     def test_higher_resolution_self_oracle(self):
         # finer theta panels and the same zero set must reproduce S1

@@ -104,9 +104,10 @@ class TestExitCodes:
         assert err.startswith("precision error: s1moment: quadrature error ")
         assert "exceeds 1% of value" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_moment_is_4(self, tmp_path, capsys):
-        # |S1|^2400 overflows: the moment is inf and its estimate NaN
+        # |S1|^2400 overflows: the moment is inf and its estimate NaN, and
+        # no numpy warning comes before the typed error
         code, out, _ = run_cli(
             ["moments", "--kind", "s1moment", "--l", "1200", "--from", "200", "--to", "240"],
             tmp_path,
@@ -114,6 +115,20 @@ class TestExitCodes:
         assert code == 4 and not out.exists()
         assert capsys.readouterr().err == (
             "precision error: s1moment: value inf or its error estimate nan is not finite\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, message", [
+        (["cbar", "--l", "100000", "--T", "1000", "--H", "100"],
+         "s1moment: value inf or its error estimate nan is not finite"),
+        (["moments", "--kind", "sigma2", "--sigma", "1", "--from", "1e-300", "--to", "1"],
+         "sigma2: value inf or its error estimate nan is not finite"),
+        (["functional", "--kind", "C", "--x", "1", "--tau", "1", "--sigma", "1e308"],
+         "sigma2: value nan or its error estimate nan is not finite"),
+    ], ids=["cbar", "sigma2-at-the-pole", "C-huge-sigma"])
+    def test_overflow_prints_only_the_typed_error(self, tmp_path, capsys, argv, message):
+        code, out, _ = run_cli(argv + ["--cache-dir", str(tmp_path / "cache")], tmp_path)
+        assert code == 4 and not out.exists()
+        assert capsys.readouterr().err == f"precision error: {message}\n"
 
 
 class TestBadInputsExit2:
@@ -198,8 +213,16 @@ class TestBadInputsExit2:
         (["verify", "--suite", "quotients", "--heights", "inf"],
          "reverse_iterate requires 100 <= T <= 1e+06"),
         (["cbar", "--l", "1", "--T", "inf", "--H", "inf"], "T and H must be positive and finite"),
+        # a kind's parameter left out is rejected before any height is used
+        (["functional", "--kind", "A", "--x", "1", "--tau", "1"], "kind A requires --sigma"),
+        (["functional", "--kind", "B", "--x", "1", "--tau", "1"], "kind B requires --l"),
+        (["moments", "--kind", "sigma2", "--from", "100", "--to", "110"],
+         "sigma2 requires --sigma"),
+        (["moments", "--kind", "s1moment", "--from", "100", "--to", "110"],
+         "s1moment requires --l"),
     ], ids=["s1moment", "sigma2", "critical2", "sigma-nan", "sigma-inf", "ladder",
-            "verify-ladder", "verify-quotients", "cbar"])
+            "verify-ladder", "verify-quotients", "cbar", "A-without-sigma", "B-without-l",
+            "sigma2-without-sigma", "s1moment-without-l"])
     def test_non_finite_heights(self, tmp_path, capsys, argv, message):
         code, out, _ = run_cli(argv, tmp_path)
         assert code == 2 and not out.exists()
@@ -225,7 +248,7 @@ class TestBadInputsExit2:
         ["theta", "--t", ","], ["z", "--t", ","], ["s", "--t", ", ,"],
         ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", ","],
         ["z", "--t", "100", "--jobs", "0"], ["z", "--t", "100", "--jobs", "-3"],
-        ["verify", "--suite", "branch", "--seed", "-1"],
+        ["verify", "--suite", "branch", "--seed", "-1"], ["z", "--t", "1,x"],
     ])
     def test_empty_list_or_jobs_below_1_at_parse(self, tmp_path, capsys, argv):
         code, out, manifest = run_cli(argv, tmp_path)

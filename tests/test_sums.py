@@ -15,7 +15,7 @@ from zetalab import (
     titchmarsh_sum,
     verify_asymptotic_trend,
 )
-from zetalab import sums
+from zetalab import sums, verify
 from zetalab.sums import FOURTH_MAIN_CONSTANT, PAIR_MAIN_CONSTANT
 
 # Desk-scale ratios, frozen from this pipeline after oracle spot-checks
@@ -152,15 +152,22 @@ class TestTrend:
             verify_asymptotic_trend("pair", [2e3, 1e3, 4e3])
 
     def test_fourth_trend_improves(self):
+        # the trend clause is judged by zetalab.verify alone
+        checks = {name: ok for name, ok, _ in verify.asymptotics([1e3, 2e3, 4e3])}
+        assert checks["fourth-trend"]
         rep = verify_asymptotic_trend("fourth", [1e3, 2e3, 4e3])
-        assert rep.passed
         assert all(r > 1.6 for r in rep.ratios)  # desk-scale bias, documented
+
+    @staticmethod
+    def _fitted(rep):
+        """The fitted correction constants |r - 1| ln T."""
+        return [abs(r - 1.0) * math.log(T) for r, T in zip(rep.ratios, rep.heights)]
 
     def test_pair_fitted_constant_bounded(self):
         rep = verify_asymptotic_trend("pair", [1e3, 2e3, 4e3])
-        assert all(f <= 10.0 for f in rep.fitted)
+        assert all(f <= 10.0 for f in self._fitted(rep))
 
     def test_fourth_fitted_constant_bounded(self):
         # the fourth-power correction constant sits near 12.5 at desk scale
         rep = verify_asymptotic_trend("fourth", [1e3, 2e3, 4e3])
-        assert all(f <= 15.0 for f in rep.fitted)
+        assert all(f <= 15.0 for f in self._fitted(rep))
