@@ -33,7 +33,7 @@ from .functionals import (
     quotient_zeta,
     substitution_constant,
 )
-from .gram import GramPoint, GramRange, gram_point, gram_points, gram_range
+from .gram import GramPoint, gram_point, gram_points, gram_range
 from .ladders import LadderChain, PartitionReport, ladder_chain, partition_report, reverse_iterate
 from .moments import (
     CbarEstimate,
@@ -44,7 +44,7 @@ from .moments import (
     second_moment_critical,
     second_moment_sigma,
 )
-from .sums import SumResult, TrendReport, fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
+from .sums import SumResult, fourth_power_sum, titchmarsh_sum, verify_asymptotic_trend
 from .zeta import (
     EULER_GAMMA, MAX_HEIGHT, RS_CROSSOVER, hardy_z, hardy_z_many, theta, theta_deriv, zeta,
 )

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .config import AmbiguousBranchError, DomainError, TrackingError
@@ -117,17 +119,17 @@ class ZeroCache:
     of the local mean gap), a dip-refinement pass that hunts for
     close pairs hiding inside same-sign cells, and vectorized bisection.
     A bracket leaves the bisection once its midpoint equals one of its
-    ends, since it cannot move any more; 52 levels are the cap.
+    ends, since it cannot move any more.
 
     The bisection path is walked, but Z is evaluated on it only near the
-    root.  Beside each bracket [a, b] an inner bracket [lo, hi] narrows
-    by Illinois steps (modified regula falsi).  A midpoint at least
-    g = GUARD_ULPS ulps of b below lo or above hi takes that side without
-    a Z call; once hi - lo <= 4 g, the midpoints are evaluated.  So the
-    zeros are the bisection's bit for bit, provided the computed sign of
-    Z is the true one more than g/2 from a simple root.  Below
-    RS_CROSSOVER, where Z depends on the block it is evaluated in, g is
-    infinite and the bisection is plain.
+    root.  First an inner bracket [lo, hi] inside each bracket [a, b]
+    narrows by Illinois steps (modified regula falsi) until
+    hi - lo <= 4 g, g = GUARD_ULPS ulps of b.  Then the walk: a midpoint
+    at least g below lo or above hi takes that side without a Z call,
+    the others are evaluated.  So the zeros are the bisection's bit for
+    bit, provided the computed sign of Z is the true one more than g/2
+    from a simple root.  Below RS_CROSSOVER, where Z depends on the block
+    it is evaluated in, g is infinite and the bisection is plain.
     The final count is cross-checked against the branch-tracking count
     N(t); a mismatch raises rather than self-corrects, keeping the two
     channels independent.
@@ -144,7 +146,6 @@ class ZeroCache:
     """
 
     FIRST_ZERO_FLOOR = 10.0
-    BISECT_ROUNDS = 52
     GUARD_ULPS = 256
 
     def __init__(self):
@@ -246,56 +247,52 @@ class ZeroCache:
     def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
                 fb: np.ndarray) -> np.ndarray:
         """Midpoints of the brackets [a, b] (fa = Z(a), fb = Z(b)) after
-        bisection.  Each round takes every free bisection level, then
-        evaluates one point per live bracket in one batch: an Illinois
-        point while hi - lo > 4 g, else the bisection midpoint.
+        bisection.  Phase 1 takes Illinois steps, one batch per round, on
+        every inner bracket [lo, hi] still wider than 4 g.  Phase 2 walks
+        the bisection path: a midpoint g clear of [lo, hi] takes its side
+        without a Z call, the others are evaluated in one batch per round,
+        and the sign of Z(lo) decides.
         """
         a, b = a.copy(), b.copy()
         lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
         g = np.where(a < RS_CROSSOVER, np.inf, self.GUARD_ULPS * np.spacing(b))
-        level = np.zeros(len(a), dtype=np.int8)
         moved = np.zeros(len(a), dtype=np.int8)  # inner end moved last: -1 lo, 1 hi
+        live = np.nonzero(hi - lo > 4.0 * g)[0]
+        while len(live):
+            l, h, fl, fh = lo[live], hi[live], flo[live], fhi[live]
+            x = l - fl * (h - l) / (fh - fl)
+            x = np.where((x > l) & (x < h), x, 0.5 * (l + h))
+            fx = hardy_z_many(x)
+            same = np.sign(fx) == np.sign(fl)
+            i, k = live[same], live[~same]
+            fhi[i[moved[i] == -1]] *= 0.5  # Illinois: halve Z at an end kept twice
+            flo[k[moved[k] == 1]] *= 0.5
+            lo[i], flo[i], moved[i] = x[same], fx[same], -1
+            hi[k], fhi[k], moved[k] = x[~same], fx[~same], 1
+            live = live[hi[live] - lo[live] > 4.0 * g[live]]
+
         live = np.arange(len(a))
         while True:
-            # free levels: a midpoint g clear of [lo, hi] takes that side
-            idx = live
+            idx = live  # free steps: a midpoint g clear of [lo, hi] takes that side
             while len(idx):
                 m = 0.5 * (a[idx] + b[idx])
                 left = m <= lo[idx] - g[idx]
-                free = ((left | (m >= hi[idx] + g[idx])) & (m != a[idx]) & (m != b[idx])
-                        & (level[idx] < self.BISECT_ROUNDS))
+                free = (left | (m >= hi[idx] + g[idx])) & (m != a[idx]) & (m != b[idx])
                 idx, m, left = idx[free], m[free], left[free]
                 a[idx[left]] = m[left]
                 b[idx[~left]] = m[~left]
-                level[idx] += 1
 
             m = 0.5 * (a[live] + b[live])
-            go = (m != a[live]) & (m != b[live]) & (level[live] < self.BISECT_ROUNDS)
+            go = (m != a[live]) & (m != b[live])
             live, m = live[go], m[go]
             if not len(live):
-                break
-            l, h, fl, fh = lo[live], hi[live], flo[live], fhi[live]
-            step = h - l > 4.0 * g[live]
-            x = l - fl * (h - l) / (fh - fl)
-            x = np.where(step, np.where((x > l) & (x < h), x, 0.5 * (l + h)), m)
-            fx = hardy_z_many(x)
-            same = np.sign(fx) == np.sign(fl)
-
-            # the bisection level at an evaluated midpoint
-            up, down = ~step & same, ~step & ~same
-            a[live[up]] = m[up]
-            b[live[down]] = m[down]
-            level[live[~step]] += 1
-
-            # the inner bracket (Illinois: halve Z at an end kept twice)
-            inside = (x > l) & (x < h)
-            to_lo, to_hi = inside & same, inside & ~same
-            i, k = live[to_lo], live[to_hi]
-            fhi[i[moved[i] == -1]] *= 0.5
-            flo[k[moved[k] == 1]] *= 0.5
-            lo[i], flo[i], moved[i] = x[to_lo], fx[to_lo], -1
-            hi[k], fhi[k], moved[k] = x[to_hi], fx[to_hi], 1
-        return 0.5 * (a + b)
+                return 0.5 * (a + b)
+            same = np.sign(hardy_z_many(m)) == np.sign(flo[live])  # Z(lo) keeps its sign
+            inside = (m > lo[live]) & (m < hi[live])
+            a[live[same]] = m[same]
+            b[live[~same]] = m[~same]
+            lo[live[inside & same]] = m[inside & same]
+            hi[live[inside & ~same]] = m[inside & ~same]
 
     def _check_count(self, zeros: np.ndarray, t_hi: float) -> None:
         """Independent count validation at a checkpoint clear of any zero."""
@@ -318,17 +315,14 @@ class ZeroCache:
         return check
 
 
-class _S1Tables:
+class _S1Tables(NamedTuple):
     """One immutable generation of the evaluator's lookup tables."""
 
-    __slots__ = ("t_max", "zeros", "zero_prefix", "edges", "theta_prefix")
-
-    def __init__(self, t_max, zeros, zero_prefix, edges, theta_prefix):
-        self.t_max = t_max
-        self.zeros = zeros
-        self.zero_prefix = zero_prefix
-        self.edges = edges
-        self.theta_prefix = theta_prefix
+    t_max: float
+    zeros: np.ndarray
+    zero_prefix: np.ndarray
+    edges: np.ndarray
+    theta_prefix: np.ndarray
 
 
 class S1Evaluator:

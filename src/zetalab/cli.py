@@ -142,8 +142,8 @@ def _s(args, cache, manifest):
 
 @_command("gram", "Gram points in [from, to)", *_SPAN)
 def _gram(args, cache, manifest):
-    rng = gram_range(args.t_lo, args.t_hi)
-    return ["nu", "t", "residual"], [(p.nu, p.t, p.residual) for p in rng.points]
+    return (["nu", "t", "residual"],
+            [(p.nu, p.t, p.residual) for p in gram_range(args.t_lo, args.t_hi)])
 
 
 @_command("moments", "interval moments",

@@ -43,7 +43,6 @@ class FunctionalApproximant:
     T1: float
     value: float
     rel_err: float
-    cbar_key: Optional[str] = None
 
 
 def substitution_constant(
@@ -141,7 +140,6 @@ def functional_approximant(
         T1=float(U),
         value=float(value),
         rel_err=abs(value / x - 1.0),
-        cbar_key=cbar.cache_key if kind == "B" else None,
     )
 
 

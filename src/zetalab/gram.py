@@ -20,17 +20,6 @@ class GramPoint:
     residual: float  # |theta(t) - pi*nu|
 
 
-@dataclass(frozen=True)
-class GramRange:
-    t_lo: float
-    t_hi: float
-    points: List[GramPoint]
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-
 _NEWTON_STEPS = 6  # quadratic convergence from the asymptotic inverse
 
 # The last Gram index a window below MAX_HEIGHT can ask for: `_index_bounds`
@@ -108,8 +97,8 @@ def _index_bounds(t_lo: float, t_hi: float) -> Tuple[int, int]:
     return lo, int(math.floor(theta(t_hi) / math.pi)) + 1
 
 
-def gram_range(t_lo: float, t_hi: float) -> GramRange:
-    """All Gram points with t in the half-open window [t_lo, t_hi).
+def gram_range(t_lo: float, t_hi: float) -> List[GramPoint]:
+    """The Gram points with t in the half-open window [t_lo, t_hi), by nu.
 
     Index bounds come from theta at the endpoints; the half-open
     convention makes abutting ranges partition exactly.
@@ -118,7 +107,5 @@ def gram_range(t_lo: float, t_hi: float) -> GramRange:
         raise DomainError("gram_range requires 2*pi < t_lo < t_hi")
     lo, hi = _index_bounds(t_lo, t_hi)
     if hi < lo:
-        return GramRange(t_lo=t_lo, t_hi=t_hi, points=[])
-    pts = gram_points(lo, hi)
-    pts = [p for p in pts if t_lo <= p.t < t_hi]
-    return GramRange(t_lo=t_lo, t_hi=t_hi, points=pts)
+        return []
+    return [p for p in gram_points(lo, hi) if t_lo <= p.t < t_hi]

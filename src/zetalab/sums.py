@@ -4,8 +4,8 @@ Index inclusion follows t_nu in [t_lo, t_hi); the paired factor
 Z^2(t_{nu+1}) may use the Gram point just outside the window.  When the
 window is exactly [T, 2T) the established main term is attached:
 (3/4pi^5) T ln^5 T for the pair sum, (1/4pi^3) T ln^5 T for the
-fourth-power sum.  `verify_asymptotic_trend` reports those ratios over
-a run of heights; `zetalab.verify` judges them.
+fourth-power sum.  `verify_asymptotic_trend` returns those ratios, one
+per height of a run; `zetalab.verify` judges them.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ class SumResult:
     value: float
     main_term: Optional[float]
     ratio: Optional[float]
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    kind: str
-    heights: List[float]
-    ratios: List[float]
 
 
 _KINDS = ("pair", "fourth")
@@ -94,7 +87,7 @@ def fourth_power_sum(t_lo: float, t_hi: float) -> SumResult:
     return _gram_sum(t_lo, t_hi, "fourth")
 
 
-def verify_asymptotic_trend(kind: str, heights: Sequence[float]) -> TrendReport:
+def verify_asymptotic_trend(kind: str, heights: Sequence[float]) -> List[float]:
     """Ratios r(T) of the sum over [T, 2T) to its main term, one per
     height; `zetalab.verify.asymptotics` judges them."""
     if kind not in _KINDS:
@@ -103,5 +96,4 @@ def verify_asymptotic_trend(kind: str, heights: Sequence[float]) -> TrendReport:
     if len(hs) < 3 or any(b <= a for a, b in zip(hs, hs[1:])):
         raise DomainError("need at least 3 strictly increasing heights")
     # a [T, 2T) window always carries its main term, hence a ratio
-    ratios = [_gram_sum(T, 2.0 * T, kind).ratio for T in hs]
-    return TrendReport(kind=kind, heights=hs, ratios=ratios)
+    return [_gram_sum(T, 2.0 * T, kind).ratio for T in hs]

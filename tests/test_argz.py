@@ -257,7 +257,7 @@ class TestZeroCacheGrowth:
         assert sum(points) < 24 * len(brackets[0])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(RS_CROSSOVER, 2e4), st.floats(1e-3, 0.15), st.integers(8, 64))
+    @given(st.floats(RS_CROSSOVER, MAX_HEIGHT), st.floats(1e-3, 0.15), st.integers(8, 64))
     def test_bisect_equals_52_rounds_on_random_brackets(self, t0, step, n):
         # the sign-change brackets of a grid at `step` mean gaps from t0
         grid = t0 + step * TWO_PI / math.log(t0 / TWO_PI) * np.arange(n + 1)

@@ -48,7 +48,7 @@ class TestGramCommand:
 
         code, out, _ = run_cli(["gram", "--from", "500", "--to", "600"], tmp_path)
         assert code == 0
-        assert len(out.read_text().splitlines()) - 1 == gram_range(500.0, 600.0).count
+        assert len(out.read_text().splitlines()) - 1 == len(gram_range(500.0, 600.0))
 
 
 class TestDeterminism:

@@ -99,27 +99,26 @@ class TestPolish:
 
 class TestGramRange:
     def test_empty_below_first_point(self):
-        rng = gram_range(7.0, 17.0)
-        assert rng.count == 0 and rng.points == []
+        pts = gram_range(7.0, 17.0)
+        assert len(pts) == 0 and pts == []
 
     def test_count_formula_1000_2000(self):
-        rng = gram_range(1000.0, 2000.0)
+        pts = gram_range(1000.0, 2000.0)
         expected = math.floor(theta(2000.0) / math.pi) - math.ceil(theta(1000.0) / math.pi) + 1
-        assert rng.count == expected
+        assert len(pts) == expected
         # direct enumeration cross-check: all residuals small, all t in window
-        assert all(1000.0 <= p.t < 2000.0 for p in rng.points)
-        assert all(p.residual <= 1e-10 for p in rng.points)
+        assert all(1000.0 <= p.t < 2000.0 for p in pts)
+        assert all(p.residual <= 1e-10 for p in pts)
 
     def test_index_contiguity(self):
-        rng = gram_range(500.0, 800.0)
-        nus = [p.nu for p in rng.points]
+        nus = [p.nu for p in gram_range(500.0, 800.0)]
         assert nus == list(range(nus[0], nus[0] + len(nus)))
 
     def test_half_open_partition_exact(self):
         a, b, c = 300.0, 450.0, 600.0
-        left = gram_range(a, b).points
-        right = gram_range(b, c).points
-        whole = gram_range(a, c).points
+        left = gram_range(a, b)
+        right = gram_range(b, c)
+        whole = gram_range(a, c)
         assert [(p.nu, p.t) for p in left + right] == [(p.nu, p.t) for p in whole]
 
     @given(st.lists(st.floats(2.0 * math.pi, 5e3, exclude_min=True),
@@ -128,18 +127,18 @@ class TestGramRange:
     def test_half_open_partition_property(self, cuts, on_point):
         # on_point moves b onto a Gram point, which only [b, c) may hold
         a, b, c = sorted(cuts)
-        whole = gram_range(a, c).points
+        whole = gram_range(a, c)
         if on_point and whole and whole[len(whole) // 2].t > a:
             b = whole[len(whole) // 2].t
-        left = gram_range(a, b).points
-        right = gram_range(b, c).points
+        left = gram_range(a, b)
+        right = gram_range(b, c)
         assert [(p.nu, p.t) for p in left + right] == [(p.nu, p.t) for p in whole]
 
     def test_end_one_ulp_past_a_gram_point_keeps_it(self):
         # one ulp past t_nu, theta(t) / pi still rounds below nu for 104 of
         # the first 6000 Gram points (nu = 14 is the first)
         for p in gram_points(1, 300):
-            assert gram_range(p.t - 1.0, float(np.nextafter(p.t, np.inf))).points[-1].nu == p.nu
+            assert gram_range(p.t - 1.0, float(np.nextafter(p.t, np.inf)))[-1].nu == p.nu
 
     def test_monotone_in_nu(self):
         pts = gram_points(1, 3000)
@@ -155,15 +154,14 @@ class TestCountEstimate:
     def test_mean_gap_matches_local_density(self):
         # mean Gram gap in [T, 2T] tracks 2pi/ln(T/2pi), the actual local
         # density scale (the crude ln T scale is ~25% off at T = 1e4)
-        rng = gram_range(1e4, 2e4)
-        ts = [p.t for p in rng.points]
+        ts = [p.t for p in gram_range(1e4, 2e4)]
         mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
         assert mean_gap == pytest.approx(TWO_PI / math.log(1.5e4 / TWO_PI), rel=0.10)
 
     def test_enumerated_count_tracks_density_scale(self):
         # enumeration vs the count scale with the local-density log; the
         # crude ln T scale misses by ~30% at this height
-        count = gram_range(100.0, 1e4).count
+        count = len(gram_range(100.0, 1e4))
         local = 1e4 * math.log(1e4 / TWO_PI) / TWO_PI
         assert abs(count / local - 1.0) <= 0.15
 
@@ -175,7 +173,7 @@ class TestMaxHeight:
             gram_point(_NU_MAX + 1)
 
     def test_windows_ending_at_max_height_are_admitted(self):
-        assert gram_range(MAX_HEIGHT - 2.0, MAX_HEIGHT).count >= 1
+        assert len(gram_range(MAX_HEIGHT - 2.0, MAX_HEIGHT)) >= 1
         assert titchmarsh_sum(MAX_HEIGHT - 2.0, MAX_HEIGHT).terms >= 1
 
     def test_window_above_max_height_is_rejected(self):

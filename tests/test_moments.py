@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from zetalab import (
     ConstantsCache,
@@ -26,13 +27,25 @@ from zetalab import (
     shared_s1_evaluator,
 )
 from zetalab.moments import _split_gaps
-from zetalab.quad import gauss_panels, integrate_panels, panel_sums, sigma_panel_runs
+from zetalab.quad import (
+    critical_panel_width,
+    gauss_panels,
+    integrate_panels,
+    panel_sums,
+    sigma_panel_runs,
+)
 from zetalab.zeta import _BLOCK, zeta_abs2_line
 
 zeta_module = importlib.import_module("zetalab.zeta")  # `zetalab.zeta` is also a function
 
 ZETA2 = math.pi ** 2 / 6.0
 ZETA3 = 1.2020569031595943
+
+# The quartic P4 of the fourth moment's full main term,
+# int_0^T |zeta(1/2+it)|^4 dt = int_0^T P4(ln(t/2pi)) dt + O(T^(2/3+eps)),
+# highest power first (Conrey, Farmer, Keating, Rubinstein and Snaith,
+# "Integral moments of L-functions", Proc. LMS 91, 2005)
+P4 = (0.0506605918, 0.6988698849, 2.4259621988, 3.2279079649, 1.3124243860)
 
 
 class TestCritical2:
@@ -63,6 +76,20 @@ class TestCritical2:
     def test_rejects_reversed(self):
         with pytest.raises(DomainError):
             second_moment_critical(10.0, 5.0)
+
+
+class TestFourthMoment:
+    def test_p4_leading_coefficient(self):
+        assert P4[0] == pytest.approx(1.0 / (2.0 * math.pi ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("T", [1e3, 5e3])
+    def test_z4_integral_matches_the_full_main_term(self, T):
+        # Z's fourth moment against theory, without mpmath's Z
+        z4, err = integrate_panels(lambda t: hardy_z_many(t) ** 4, T, 2.0 * T,
+                                   width=critical_panel_width(2.0 * T))
+        main, _ = quad(lambda t: np.polyval(P4, math.log(t / (2.0 * math.pi))), T, 2.0 * T)
+        assert err <= 1e-9 * z4
+        assert abs(z4 / main - 1.0) <= 0.01
 
 
 class TestSigma2:

@@ -91,11 +91,15 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="dump directory (must not exist)")
     args = parser.parse_args()
 
+    try:
+        os.makedirs(args.out)
+    except FileExistsError:
+        print(f"dump_ops.py: --out {args.out} already exists", file=sys.stderr)
+        return 2
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "perfbench"))
     import workloads
 
-    os.makedirs(args.out)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env.pop("ZLAB_CACHE_DIR", None)
