@@ -39,7 +39,6 @@ from .zeta import (
 class ArgTrace:
     """S(t) together with the zero count and integrality residual."""
 
-    t: float
     s_value: float
     zero_count: int
     branch_residual: float
@@ -61,7 +60,7 @@ def s_of_t(t: float) -> ArgTrace:
         raise DomainError(f"s_of_t requires 0 <= t <= {MAX_HEIGHT:g}")
     if t == 0.0:
         # Degenerate polyline; fixed by convention.
-        return ArgTrace(t=0.0, s_value=0.0, zero_count=0, branch_residual=0.0)
+        return ArgTrace(s_value=0.0, zero_count=0, branch_residual=0.0)
 
     # Vertical leg: |zeta(2+it) - 1| <= zeta(2) - 1 < 1 keeps the value in
     # the right half-plane, so the principal argument is already the
@@ -105,7 +104,7 @@ def s_of_t(t: float) -> ArgTrace:
     resid = abs(x - n)
     if resid > 0.25:
         raise TrackingError(f"branch integrality residual {resid:.3f} at t={t}")
-    return ArgTrace(t=t, s_value=s_val, zero_count=max(n, 0), branch_residual=resid)
+    return ArgTrace(s_value=s_val, zero_count=max(n, 0), branch_residual=resid)
 
 
 # ----------------------------------------------------------------------

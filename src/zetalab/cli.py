@@ -67,7 +67,7 @@ _COMMON = [
           help="append-only run manifest (JSON lines)"),
     _flag("--jobs", type=_positive_int, default=os.cpu_count() or 1,
           help="worker threads for independent items (results identical at any value)"),
-    _flag("--cache-dir", help="constants-cache directory (else $ZLAB_CACHE_DIR)"),
+    _flag("--cache-dir", default=".zetalab_cache", help="constants-cache directory"),
 ]
 _T = _flag("--t", type=_nonempty_float_list, required=True)
 _SPAN = (_flag("--from", dest="t_lo", type=float, required=True),
@@ -137,7 +137,8 @@ def _z(args, cache, manifest):
 def _s(args, cache, manifest):
     traces = _pmap(args.jobs, s_of_t, args.t)
     return (["t", "S", "zero_count", "branch_residual"],
-            [(tr.t, tr.s_value, tr.zero_count, tr.branch_residual) for tr in traces])
+            [(t, tr.s_value, tr.zero_count, tr.branch_residual)
+             for t, tr in zip(args.t, traces)])
 
 
 @_command("gram", "Gram points in [from, to)", *_SPAN)
@@ -153,17 +154,22 @@ def _gram(args, cache, manifest):
           _flag("--l", type=int))
 def _moments(args, cache, manifest):
     if args.kind == "critical2":
+        param = None
         est = second_moment_critical(args.t_lo, args.t_hi)
     elif args.kind == "sigma2":
         if args.sigma is None:
             raise DomainError("sigma2 requires --sigma")
+        param = args.sigma
         est = second_moment_sigma(args.sigma, args.t_lo, args.t_hi)
     else:
         if args.l is None:
             raise DomainError("s1moment requires --l")
+        param = float(args.l)
         est = s1_moment(args.l, args.t_lo, args.t_hi)
+    width = args.t_hi - args.t_lo
+    per_unit = est.value / width if width > 0 else 0.0
     return (["kind", "param", "t_lo", "t_hi", "value", "per_unit", "quad_error"],
-            [(est.kind, est.param, est.t_lo, est.t_hi, est.value, est.per_unit, est.quad_error)])
+            [(args.kind, param, args.t_lo, args.t_hi, est.value, per_unit, est.quad_error)])
 
 
 @_command("cbar", "estimate cbar(l) on [T, T+H]",
@@ -171,8 +177,8 @@ def _moments(args, cache, manifest):
           _flag("--T", type=float, required=True),
           _flag("--H", type=float, required=True))
 def _cbar(args, cache, manifest):
-    est = estimate_cbar(args.l, args.T, args.H, cache=cache)
-    manifest.add_cbar_key(est.cache_key)
+    est = estimate_cbar(args.l, args.T, args.H)
+    manifest.add_cbar_key(cache.put(est))
     return ["l", "T", "H", "cbar", "spread"], [(est.l, est.T, est.H, est.cbar, est.spread)]
 
 
@@ -193,7 +199,7 @@ def _ladder(args, cache, manifest):
 def _sum(args, cache, manifest):
     res = (titchmarsh_sum if args.kind == "pair" else fourth_power_sum)(args.t_lo, args.t_hi)
     return (["kind", "T", "terms", "value", "main_term", "ratio"],
-            [(res.kind, res.t_lo, res.terms, res.value, res.main_term, res.ratio)])
+            [(args.kind, args.t_lo, res.terms, res.value, res.main_term, res.ratio)])
 
 
 @_command("functional", "cross-bred functional value",
@@ -212,8 +218,10 @@ def _functional(args, cache, manifest):
     manifest.add_constant(f"substitution_K_{args.kind}", K)
     results = _pmap(args.jobs, lambda tau: functional_approximant(
         args.kind, args.x, tau, sigma=args.sigma, l=args.l, cbar=cbar), args.tau)
+    param = float(args.l) if args.kind == "B" else args.sigma
     return (["kind", "x", "param", "tau", "T", "value", "rel_err"],
-            [(r.kind, r.x, r.param, r.tau, r.T, r.value, r.rel_err) for r in results])
+            [(args.kind, args.x, param, tau, r.T, r.value, r.rel_err)
+             for tau, r in zip(args.tau, results)])
 
 
 @_command("fermat", "Fermat witness with functional trace",
@@ -232,7 +240,8 @@ def _fermat(args, cache, manifest):
     w = fermat_equivalence_check(args.x, args.y, args.z, args.n, kind=args.kind, sigma=args.sigma,
                                  l=args.l, cbar=cbar, tau_schedule=args.tau)
     return (["x", "y", "z", "n", "numerator", "denominator", "is_one", "verdict"],
-            [(w.x, w.y, w.z, w.n, w.numerator, w.denominator, w.is_one_exact, w.verdict)])
+            [(args.x, args.y, args.z, args.n, w.numerator, w.denominator, w.is_one_exact,
+              w.verdict)])
 
 
 @_command("chain", "compare functionals A, B, C",
@@ -244,17 +253,17 @@ def _fermat(args, cache, manifest):
           _flag("--cbar-H", type=float, required=True))
 def _chain(args, cache, manifest):
     est = _need_cbar(args, cache, manifest)
-    rows = chain_compare(args.x, args.sigma, args.l, args.tau, est).values()
-    return ["kind", "T", "value", "rel_err"], [(r.kind, r.T, r.value, r.rel_err) for r in rows]
+    rows = chain_compare(args.x, args.sigma, args.l, args.tau, est).items()
+    return ["kind", "T", "value", "rel_err"], [(k, r.T, r.value, r.rel_err) for k, r in rows]
 
 
-# name -> suite(args, cache)
+# name -> suite(args)
 _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
-    "asymptotics": lambda args, cache: verify.asymptotics(args.heights),
-    "gram": lambda args, cache: verify.gram(args.nu_max),
-    "branch": lambda args, cache: verify.branch(args.n_heights, args.seed),
-    "ladder": lambda args, cache: verify.ladder(args.heights),
-    "quotients": lambda args, cache: verify.quotients(args.heights, cache),
+    "asymptotics": lambda args: verify.asymptotics(args.heights),
+    "gram": lambda args: verify.gram(args.nu_max),
+    "branch": lambda args: verify.branch(args.n_heights, args.seed),
+    "ladder": lambda args: verify.ladder(args.heights),
+    "quotients": lambda args: verify.quotients(args.heights),
 }
 
 
@@ -265,7 +274,7 @@ _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
           _flag("--n-heights", type=int, default=25),
           _flag("--seed", type=_nonnegative_int, default=20260809))
 def _verify(args, cache, manifest):
-    checks = _SUITES[args.suite](args, cache)
+    checks = _SUITES[args.suite](args)
     return (["check", "status", "detail"],
             [(name, "PASS" if ok else "FAIL", detail) for name, ok, detail in checks])
 
@@ -281,8 +290,7 @@ def _run(args, raw_argv: Sequence[str]) -> int:
     """Run the command, print its rows, write them under its header to --out and
     append the manifest; rows with status FAIL (a check suite) make the exit 3."""
     manifest = RunManifest(raw_argv)
-    cache = ConstantsCache(
-        os.path.join(args.cache_dir, "constants.json") if args.cache_dir else None)
+    cache = ConstantsCache(os.path.join(args.cache_dir, "constants.json"))
     header, rows = _COMMANDS[args.command][2](args, cache, manifest)
     rows = csv_cells(rows)
     for row in rows:

@@ -22,19 +22,11 @@ MIN_EXPONENT = 3
 
 @dataclass(frozen=True)
 class FermatWitness:
-    x: int
-    y: int
-    z: int
-    n: int
     numerator: int  # x^n + y^n, exact
     denominator: int  # z^n, exact
     is_one_exact: bool
     approximants: List[FunctionalApproximant]
     verdict: str
-
-    @property
-    def rational(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
 
 def _check_inputs(x: int, y: int, z: int, n: int) -> None:
@@ -123,10 +115,5 @@ def fermat_equivalence_check(
         verdict = "consistent: exact not-one; functional trace approaches target != 1"
     else:
         verdict = "DISAGREEMENT: exact not-one but functional trace does not approach target"
-    return FermatWitness(
-        x=x, y=y, z=z, n=n,
-        numerator=num, denominator=den,
-        is_one_exact=is_one,
-        approximants=trace,
-        verdict=verdict,
-    )
+    return FermatWitness(numerator=num, denominator=den, is_one_exact=is_one,
+                         approximants=trace, verdict=verdict)

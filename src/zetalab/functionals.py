@@ -35,10 +35,6 @@ MIN_IMPLIED_T = 100.0
 
 @dataclass(frozen=True)
 class FunctionalApproximant:
-    kind: str  # "A" | "B" | "C"
-    x: float
-    param: float  # sigma for A/C, l for B
-    tau: float
     T: float
     T1: float
     value: float
@@ -121,26 +117,16 @@ def functional_approximant(
     den = _crit_window(T)
     if kind in ("A", "C"):
         num = _sigma_window(sigma, T)
-        param = float(sigma)
     else:
         if l is None:
             raise DomainError("kind B requires l")
         if l != cbar.l:
             raise DomainError("cbar estimate was fitted for a different l")
         num = s1_moment(l, T, U).value
-        param = float(l)
     s: SumResult = (fourth_power_sum if kind == "C" else titchmarsh_sum)(T, 2.0 * T)
     value = (num / den) ** 5 * s.value / tau
-    return FunctionalApproximant(
-        kind=kind,
-        x=float(x),
-        param=param,
-        tau=float(tau),
-        T=float(T),
-        T1=float(U),
-        value=float(value),
-        rel_err=abs(value / x - 1.0),
-    )
+    return FunctionalApproximant(T=float(T), T1=float(U), value=float(value),
+                                 rel_err=abs(value / x - 1.0))
 
 
 def chain_compare(

@@ -1,8 +1,10 @@
 """Interval moments of |zeta|^2 and |S1|^{2l}, and the empirical c-bar(l).
 
+Each moment comes back as its value and quadrature error estimate.
 c-bar(l) has no closed form available here; it is fitted from a window
-moment and always reported together with its sub-window spread, then
-persisted to a small JSON constants cache for downstream consumers.
+moment and always reported together with its sub-window spread.  A
+`ConstantsCache` keeps fitted values in a small JSON file; the library
+never writes it on its own (the CLI's `cbar` command does).
 """
 
 from __future__ import annotations
@@ -36,12 +38,7 @@ CBAR_WINDOW_EXPONENT = 0.6
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    t_lo: float
-    t_hi: float
-    kind: str  # "critical2" | "sigma2" | "s1moment"
-    param: Optional[float]  # sigma for sigma2, l for s1moment
     value: float
-    per_unit: float
     quad_error: float
 
 
@@ -63,15 +60,6 @@ def _cbar_key(l: int, T: float, H: float) -> str:
     return f"cbar/l={int(l)}/T={float(T):.15g}/H={float(H):.15g}"
 
 
-def _finish(t_lo: float, t_hi: float, kind: str, param, value: float, err: float) -> MomentEstimate:
-    width = t_hi - t_lo
-    per_unit = value / width if width > 0 else 0.0
-    return MomentEstimate(
-        t_lo=t_lo, t_hi=t_hi, kind=kind, param=param,
-        value=value, per_unit=per_unit, quad_error=err,
-    )
-
-
 def _check_window(t_lo: float, t_hi: float) -> None:
     if not (0.0 <= t_lo <= t_hi <= MAX_HEIGHT):
         raise DomainError(f"need 0 <= t_lo <= t_hi <= {MAX_HEIGHT:g}")
@@ -87,7 +75,7 @@ def second_moment_critical(t_lo: float, t_hi: float) -> MomentEstimate:
     """Hardy-Littlewood integral of Z(t)^2 over [t_lo, t_hi]."""
     _check_window(t_lo, t_hi)
     if t_lo == t_hi:
-        return _finish(t_lo, t_hi, "critical2", None, 0.0, 0.0)
+        return MomentEstimate(0.0, 0.0)
     if t_hi >= RS_CROSSOVER:
         check_eval(float(rs_error_bound(t_hi)), f"Z on [{t_lo}, {t_hi}]")
     width = critical_panel_width(t_hi)
@@ -97,7 +85,7 @@ def second_moment_critical(t_lo: float, t_hi: float) -> MomentEstimate:
         return z * z
 
     value, err = check_error(*integrate_panels(f, t_lo, t_hi, width, order=8), what="critical2")
-    return _finish(t_lo, t_hi, "critical2", None, value, err)
+    return MomentEstimate(value, err)
 
 
 def second_moment_sigma(sigma: float, t_lo: float, t_hi: float) -> MomentEstimate:
@@ -112,7 +100,7 @@ def second_moment_sigma(sigma: float, t_lo: float, t_hi: float) -> MomentEstimat
     check_sigma(sigma)
     _check_window(t_lo, t_hi)
     if t_lo == t_hi:
-        return _finish(t_lo, t_hi, "sigma2", sigma, 0.0, 0.0)
+        return MomentEstimate(0.0, 0.0)
     if sigma == 1.0 and t_lo == 0.0:
         raise PoleError(f"[{t_lo}, {t_hi}] meets the pole s = 1; the moment diverges")
     check_eval(em_error_bound(sigma, t_hi), f"zeta({sigma}+it) on [{t_lo}, {t_hi}]")
@@ -122,7 +110,7 @@ def second_moment_sigma(sigma: float, t_lo: float, t_hi: float) -> MomentEstimat
     with np.errstate(over="ignore", invalid="ignore"):  # check_error rejects inf and nan
         vals = np.concatenate([zeta_abs2_panels(sigma, mids, half) for mids, half in runs])
         value, err = check_error(*kronrod_sums(vals, halves), what="sigma2")
-    return _finish(t_lo, t_hi, "sigma2", sigma, value, err)
+    return MomentEstimate(value, err)
 
 
 def _split_gaps(edges: np.ndarray) -> np.ndarray:
@@ -148,29 +136,24 @@ def s1_moment(l: int, t_lo: float, t_hi: float) -> MomentEstimate:
         raise DomainError("l must be >= 1")
     _check_window(t_lo, t_hi)
     if t_lo == t_hi:
-        return _finish(t_lo, t_hi, "s1moment", float(l), 0.0, 0.0)
+        return MomentEstimate(0.0, 0.0)
     ev = shared_s1_evaluator()
     edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
     nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
     with np.errstate(over="ignore", invalid="ignore"):  # check_error rejects inf and nan
         vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
         value, err = check_error(*kronrod_sums(vals, half), what="s1moment")
-    return _finish(t_lo, t_hi, "s1moment", float(l), value, err)
+    return MomentEstimate(value, err)
 
 
-def estimate_cbar(
-    l: int,
-    T: float,
-    H: float,
-    cache: Optional["ConstantsCache"] = None,
-) -> CbarEstimate:
+def estimate_cbar(l: int, T: float, H: float) -> CbarEstimate:
     """Empirical Selberg-moment constant: moment over [T, T+H] divided by H.
 
-    Enforces the window constraint T^a <= H <= T (a = 0.6), reports the
-    spread across four equal sub-windows, and persists the estimate to
-    the constants cache (the default one honours $ZLAB_CACHE_DIR).  The
-    whole-window call prepares the S1 tables up to T + H, so the four
-    sub-windows read the same table generation.
+    Enforces the window constraint T^a <= H <= T (a = 0.6) and reports
+    the spread across four equal sub-windows; it writes no file (pass
+    the estimate to `ConstantsCache.put` to keep it).  The whole-window
+    call prepares the S1 tables up to T + H, so the four sub-windows read
+    the same table generation.
     """
     if l < 1:
         raise DomainError("l must be >= 1")
@@ -183,25 +166,16 @@ def estimate_cbar(
     cbar = s1_moment(l, T, T + H).value / H
     spread = max(abs(s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0).value / (H / 4.0)
                      - cbar) for j in range(4))
-    est = CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))
-    (cache if cache is not None else ConstantsCache()).put(est)
-    return est
+    return CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))
 
 
 _PUT_LOCK = threading.Lock()
 
 
 class ConstantsCache:
-    """JSON file of fitted constants, keyed "cbar/l=<l>/T=<T>/H=<H>".
+    """The JSON file of fitted constants at `path`, keyed "cbar/l=<l>/T=<T>/H=<H>"."""
 
-    Location: explicit path, else $ZLAB_CACHE_DIR/constants.json, else
-    ./.zetalab_cache/constants.json.
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        if path is None:
-            base = os.environ.get("ZLAB_CACHE_DIR", ".zetalab_cache")
-            path = os.path.join(base, "constants.json")
+    def __init__(self, path: str):
         self.path = Path(path)
 
     def _load(self) -> dict:

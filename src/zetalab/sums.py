@@ -27,9 +27,6 @@ FOURTH_MAIN_CONSTANT = 1.0 / (4.0 * math.pi ** 3)
 
 @dataclass(frozen=True)
 class SumResult:
-    t_lo: float
-    t_hi: float
-    kind: str  # "pair" | "fourth"
     terms: int
     value: float
     main_term: Optional[float]
@@ -70,10 +67,8 @@ def _gram_window(t_lo: float, t_hi: float) -> Tuple[SumResult, SumResult]:
     results = []
     for k, const in zip(_KINDS, (PAIR_MAIN_CONSTANT, FOURTH_MAIN_CONSTANT)):
         main = const * t_lo * math.log(t_lo) ** 5 if doubling else None
-        results.append(SumResult(
-            t_lo=t_lo, t_hi=t_hi, kind=k, terms=terms, value=values[k],
-            main_term=main, ratio=None if main is None else values[k] / main,
-        ))
+        results.append(SumResult(terms=terms, value=values[k], main_term=main,
+                                 ratio=None if main is None else values[k] / main))
     return tuple(results)
 
 

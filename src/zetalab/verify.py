@@ -7,7 +7,7 @@ patched onto a module attribute sees the calls.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import zeta as real_zeta
@@ -46,12 +46,12 @@ def branch(n_heights: int, seed: int) -> List[Check]:
     """At random t in [10, 1e4], N(t) is an integer to 1e-8 and matches the zero scan."""
     if n_heights < 1:
         raise DomainError("n_heights must be >= 1")
-    hs = 10.0 + np.random.default_rng(seed).random(n_heights) * (1e4 - 10.0)
+    hs = (10.0 + np.random.default_rng(seed).random(n_heights) * (1e4 - 10.0)).tolist()
     ev = argz.shared_s1_evaluator()
-    ev.ensure(float(hs.max()) + 1.0)
-    traces = [argz.s_of_t(float(t)) for t in hs]
+    ev.ensure(max(hs) + 1.0)
+    traces = [argz.s_of_t(t) for t in hs]
     worst = max(tr.branch_residual for tr in traces)
-    count_ok = all(tr.zero_count == ev.zeros_cache.count_below(tr.t) for tr in traces)
+    count_ok = all(tr.zero_count == ev.zeros_cache.count_below(t) for t, tr in zip(hs, traces))
     return [("branch-integrality", worst <= 1e-8, f"worst residual={worst:.3e}"),
             ("branch-count-vs-signchanges", count_ok, f"{n_heights} heights")]
 
@@ -71,8 +71,7 @@ def ladder(heights: Sequence[float]) -> List[Check]:
     return checks
 
 
-def quotients(heights: Sequence[float],
-              cache: Optional[moments.ConstantsCache] = None) -> List[Check]:
+def quotients(heights: Sequence[float]) -> List[Check]:
     """The zeta and S1 quotients over ln T, in [0.85, 1.15] and [0.7, 1.3]."""
     if len(heights) == 0:
         raise DomainError("the quotients suite needs at least one height")
@@ -82,7 +81,7 @@ def quotients(heights: Sequence[float],
         check = qz * float(real_zeta(2.0)) / math.log(T)
         checks.append((f"quotient-zeta-T={T:g}", 0.85 <= check <= 1.15,
                        f"normalized={check:.4f}"))
-        est = moments.estimate_cbar(1, T, max(T ** 0.6, T / 10.0), cache=cache)
+        est = moments.estimate_cbar(1, T, max(T ** 0.6, T / 10.0))
         qs = functionals.quotient_s1(1, T)
         s_check = qs * est.cbar / math.log(T)
         checks.append((f"quotient-s1-T={T:g}", 0.7 <= s_check <= 1.3,

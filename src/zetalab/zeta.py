@@ -261,7 +261,9 @@ def _hardy_z_em_block(ts: np.ndarray) -> np.ndarray:
 
 
 def hardy_z_many(t) -> np.ndarray:
-    """Vectorized Z(t); fixed blocking, t in any order."""
+    """Vectorized Z(t); fixed blocking, t in any order.  The unchecked
+    kernel: no MAX_HEIGHT ceiling and no accuracy gate, since a ladder step
+    from 1e6 evaluates Z up to T^1 ~ 1.03e6; `hardy_z` is the checked entry."""
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     out = np.empty_like(ts)
     lo = ts < RS_CROSSOVER

@@ -1,28 +1,10 @@
 import importlib
-import os
 import pkgutil
 
 import mpmath as mp
 import pytest
 
 mp.mp.dps = 30
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cache(tmp_path_factory):
-    """Keep the constants cache out of the working tree during tests.
-
-    Session-scoped so that module-scoped fixtures (instantiated before any
-    function-scoped monkeypatch) see it too.
-    """
-    path = tmp_path_factory.mktemp("zlab_cache")
-    old = os.environ.get("ZLAB_CACHE_DIR")
-    os.environ["ZLAB_CACHE_DIR"] = str(path)
-    yield
-    if old is None:
-        os.environ.pop("ZLAB_CACHE_DIR", None)
-    else:
-        os.environ["ZLAB_CACHE_DIR"] = old
 
 
 @pytest.fixture

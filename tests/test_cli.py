@@ -179,6 +179,18 @@ class TestBadInputsExit2:
             "for cbar/l=1/T=200/H=40\n"
         )
 
+    def test_cbar_caches_under_the_working_directory_by_default(self, tmp_path, monkeypatch):
+        # the environment names no cache directory: only --cache-dir does
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ZLAB_CACHE_DIR", str(elsewhere))
+        code, _, _ = run_cli(["cbar", "--l", "1", "--T", "200", "--H", "40"], tmp_path)
+        assert code == 0
+        cache = json.loads((tmp_path / ".zetalab_cache" / "constants.json").read_text())
+        assert list(cache) == ["cbar/l=1/T=200/H=40"]
+        assert list(elsewhere.iterdir()) == []
+
     def test_cache_dir_on_a_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         code, _, _ = run_cli(["cbar", "--l", "1", "--T", "200", "--H", "40",
@@ -429,31 +441,45 @@ class TestCsvCells:
         ]
 
 
-# one cheap op per subcommand; the chain op reads the cbar the cbar op caches
+# cheap ops covering every subcommand, each with the leading cells of its
+# rows that echo its arguments (None: no such cells); the chain op reads
+# the cbar the cbar op caches
 EVERY_COMMAND = [
-    ["theta", "--t", "1,100.5"],
-    ["z", "--t", "100.5,250.25"],
-    ["s", "--t", "100.5"],
-    ["gram", "--from", "100", "--to", "130"],
-    ["moments", "--kind", "critical2", "--from", "100", "--to", "102"],
-    ["cbar", "--l", "1", "--T", "200", "--H", "40"],
-    ["ladder", "--T", "200", "--k", "2"],
-    ["sum", "--kind", "fourth", "--from", "100", "--to", "150"],
-    ["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "10,20"],
-    ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3"],
-    ["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
-    ["verify", "--suite", "gram", "--nu-max", "50"],
+    (["theta", "--t", "1,100.5"], [["1"], ["100.5"]]),
+    (["z", "--t", "100.5,250.25"], [["100.5"], ["250.25"]]),
+    (["s", "--t=-0,100.5"], [["-0"], ["100.5"]]),
+    (["gram", "--from", "100", "--to", "130"], None),
+    (["moments", "--kind", "critical2", "--from", "100", "--to", "102"],
+     [["critical2", "", "100", "102"]]),
+    # a zero-width window: value and per_unit 0
+    (["moments", "--kind", "critical2", "--from", "100", "--to", "100"],
+     [["critical2", "", "100", "100", "0", "0"]]),
+    (["moments", "--kind", "sigma2", "--sigma", "2", "--from", "100", "--to", "101"],
+     [["sigma2", "2", "100", "101"]]),
+    (["moments", "--kind", "s1moment", "--l", "1", "--from", "100", "--to", "101"],
+     [["s1moment", "1", "100", "101"]]),
+    (["cbar", "--l", "1", "--T", "200", "--H", "40"], [["1", "200", "40"]]),
+    (["ladder", "--T", "200", "--k", "2"], None),
+    (["sum", "--kind", "fourth", "--from", "100", "--to", "150"], [["fourth", "100"]]),
+    (["functional", "--kind", "A", "--x", "1", "--sigma", "1.0", "--tau", "10,20"],
+     [["A", "1", "1", "10"], ["A", "1", "1", "20"]]),
+    (["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3"], [["3", "4", "5", "3"]]),
+    (["chain", "--x", "1", "--tau", "10", "--cbar-T", "200", "--cbar-H", "40"],
+     [["A"], ["B"], ["C"]]),
+    (["verify", "--suite", "gram", "--nu-max", "50"], None),
 ]
 
 
 def test_every_command_writes_its_stdout_under_a_header_of_its_width(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
-    for i, argv in enumerate(EVERY_COMMAND):
+    for i, (argv, echo) in enumerate(EVERY_COMMAND):
         code, out, _ = run_cli(argv + ["--cache-dir", cache_dir], tmp_path, f"{i}.csv")
         assert code == 0, argv
         header, *body = out.read_text().splitlines()
         assert body and all(len(r.split(",")) == len(header.split(",")) for r in body), argv
         assert capsys.readouterr().out.splitlines() == body, argv
+        if echo is not None:
+            assert [r.split(",")[:len(echo[0])] for r in body] == echo, argv
 
 
 def test_readme_cli_examples_parse_and_cover_every_command():

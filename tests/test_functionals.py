@@ -134,7 +134,6 @@ class TestFunctionalApproximant:
         v = functional_approximant("A", 2.0, 500.0 / (K * 2.0), sigma=1.0)
         assert v.T == pytest.approx(500.0, rel=1e-12)
         assert v.T1 > v.T
-        assert v.x == 2.0
 
 
 class TestCriticalWindow:

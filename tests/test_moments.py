@@ -51,7 +51,7 @@ P4 = (0.0506605918, 0.6988698849, 2.4259621988, 3.2279079649, 1.3124243860)
 class TestCritical2:
     def test_degenerate(self):
         est = second_moment_critical(100.0, 100.0)
-        assert est.value == 0.0 and est.per_unit == 0.0
+        assert est.value == 0.0
 
     def test_additivity(self):
         a = second_moment_critical(0.0, 100.0).value
@@ -95,11 +95,11 @@ class TestFourthMoment:
 class TestSigma2:
     def test_per_unit_approaches_zeta2(self):
         est = second_moment_sigma(1.0, 1e3, 6e3)
-        assert est.per_unit == pytest.approx(ZETA2, rel=0.05)
+        assert est.value / 5e3 == pytest.approx(ZETA2, rel=0.05)
 
     def test_sigma3_short_window_bounds(self):
         est = second_moment_sigma(3.0, 1e3, 1e3 + 50.0)
-        assert 1.0 <= est.per_unit <= ZETA3 ** 2
+        assert 1.0 <= est.value / 50.0 <= ZETA3 ** 2
 
     def test_monotone_accumulation(self):
         a = second_moment_sigma(1.0, 500.0, 700.0).value
@@ -267,18 +267,18 @@ class TestCbar:
         m = s1_moment(1, 2000.0, 2200.0).value
         assert est.cbar == pytest.approx(m / 200.0, rel=1e-12)
 
-    def test_spread_reads_the_whole_windows_tables(self, tmp_path, monkeypatch):
+    def test_spread_reads_the_whole_windows_tables(self, monkeypatch):
         # from a fresh evaluator, so a quarter that raised the table
         # ceiling mid-fit would leave the earlier quarters on older tables
         from zetalab import argz
 
         monkeypatch.setattr(argz, "_SHARED", argz.S1Evaluator())
-        est = estimate_cbar(1, 2000.0, 200.0, cache=ConstantsCache(str(tmp_path / "c.json")))
+        est = estimate_cbar(1, 2000.0, 200.0)
         assert est.cbar == s1_moment(1, 2000.0, 2200.0).value / 200.0
         quarters = [s1_moment(1, 2000.0 + 50.0 * j, 2050.0 + 50.0 * j).value for j in range(4)]
         assert est.spread == max(abs(q / 50.0 - est.cbar) for q in quarters)
 
-    def test_fit_samples_21_nodes_per_panel(self, tmp_path, monkeypatch):
+    def test_fit_samples_21_nodes_per_panel(self, monkeypatch):
         # one value_many call of 21 GK nodes per zero-gap panel, for the
         # whole window and then for each quarter window
         ev = shared_s1_evaluator()
@@ -294,7 +294,7 @@ class TestCbar:
             return value_many(self, t)
 
         monkeypatch.setattr(type(ev), "value_many", counting)
-        estimate_cbar(1, 2000.0, 200.0, cache=ConstantsCache(str(tmp_path / "c.json")))
+        estimate_cbar(1, 2000.0, 200.0)
         assert calls == [21 * n for n in panels]
 
     def test_window_constraint(self):
@@ -314,11 +314,18 @@ class TestCbar:
 
     def test_cache_roundtrip(self, tmp_path):
         cache = ConstantsCache(str(tmp_path / "c.json"))
-        est = estimate_cbar(1, 2000.0, 200.0, cache=cache)
+        est = estimate_cbar(1, 2000.0, 200.0)
+        cache.put(est)
         back = cache.get(1, 2000.0, 200.0)
         assert back is not None
         assert back.cbar == est.cbar and back.spread == est.spread
         assert cache.keys() == [est.cache_key]
+
+    def test_fit_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ZLAB_CACHE_DIR", raising=False)
+        estimate_cbar(1, 2000.0, 200.0)
+        assert list(tmp_path.iterdir()) == []
 
     def test_key_roundtrip_at_non_integer_heights(self, tmp_path):
         # put (through cache_key) and get (from l, T, H) build one key

@@ -102,7 +102,6 @@ def main() -> int:
 
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env.pop("ZLAB_CACHE_DIR", None)
     status = 0
     for name in workloads.WORKLOADS:
         dest = os.path.abspath(os.path.join(args.out, name))
