@@ -34,7 +34,7 @@ from .functionals import (
     substitution_constant,
 )
 from .gram import GramPoint, gram_point, gram_points, gram_range
-from .ladders import LadderChain, PartitionReport, ladder_chain, partition_report, reverse_iterate
+from .ladders import LadderChain, ladder_chain, reverse_iterate
 from .moments import (
     CbarEstimate,
     ConstantsCache,

@@ -66,10 +66,12 @@ _COMMON = [
     _flag("--manifest", default="zetalab_manifest.jsonl",
           help="append-only run manifest (JSON lines)"),
     _flag("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-          help="worker threads for independent items (results identical at any value)"),
+          help="worker threads for functional's --tau items (results identical at any value)"),
     _flag("--cache-dir", default=".zetalab_cache", help="constants-cache directory"),
 ]
-_T = _flag("--t", type=_nonempty_float_list, required=True)
+# argparse reads "-1,2" as an option, so such a list must be joined to its flag
+_LIST_HELP = "comma-separated numbers; join a list whose first item starts with '-' as {}=-0,100.5"
+_T = _flag("--t", type=_nonempty_float_list, required=True, help=_LIST_HELP.format("--t"))
 _SPAN = (_flag("--from", dest="t_lo", type=float, required=True),
          _flag("--to", dest="t_hi", type=float, required=True))
 
@@ -113,7 +115,8 @@ def _need_cbar(args, cache: ConstantsCache, manifest: RunManifest) -> CbarEstima
 
 
 def _pmap(jobs: int, fn, items: Sequence):
-    """Order-preserving parallel map.  Results are identical at any jobs
+    """Order-preserving parallel map over `functional`'s --tau items, the one
+    command that runs faster in threads.  Results are identical at any jobs
     value, except where they read the S1 tables, whose round-off depends on
     the highest height asked for so far (ROADMAP item 1)."""
     if jobs <= 1 or len(items) <= 1:
@@ -130,15 +133,14 @@ def _theta(args, cache, manifest):
 
 @_command("z", "Hardy Z(t)", _T)
 def _z(args, cache, manifest):
-    return ["t", "Z"], zip(args.t, _pmap(args.jobs, hardy_z, args.t))
+    return ["t", "Z"], zip(args.t, map(hardy_z, args.t))
 
 
 @_command("s", "S(t) traces", _T)
 def _s(args, cache, manifest):
-    traces = _pmap(args.jobs, s_of_t, args.t)
     return (["t", "S", "zero_count", "branch_residual"],
             [(t, tr.s_value, tr.zero_count, tr.branch_residual)
-             for t, tr in zip(args.t, traces)])
+             for t, tr in zip(args.t, map(s_of_t, args.t))])
 
 
 @_command("gram", "Gram points in [from, to)", *_SPAN)
@@ -187,7 +189,7 @@ def _cbar(args, cache, manifest):
           _flag("--k", type=int, default=1))
 def _ladder(args, cache, manifest):
     chain = ladder_chain(args.T, args.k)
-    hs = chain.heights()
+    hs = [args.T] + chain.iterates
     return (["r", "T_r", "gap", "slice_integral", "residual"],
             [(r, u, u - t, got, resid) for r, (t, u, got, resid)
              in enumerate(zip(hs, hs[1:], chain.slices, chain.residuals), 1)])
@@ -205,7 +207,7 @@ def _sum(args, cache, manifest):
 @_command("functional", "cross-bred functional value",
           _flag("--kind", choices=["A", "B", "C"], required=True),
           _flag("--x", type=float, required=True),
-          _flag("--tau", type=_nonempty_float_list, required=True),
+          _flag("--tau", type=_nonempty_float_list, required=True, help=_LIST_HELP.format("--tau")),
           _flag("--sigma", type=float),
           _flag("--l", type=int),
           _flag("--cbar-T", type=float, help="cache key part for kind B"),
@@ -234,7 +236,7 @@ def _functional(args, cache, manifest):
           _flag("--l", type=int),
           _flag("--cbar-T", type=float),
           _flag("--cbar-H", type=float),
-          _flag("--tau", type=_float_list, default=[]))
+          _flag("--tau", type=_float_list, default=[], help=_LIST_HELP.format("--tau")))
 def _fermat(args, cache, manifest):
     cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
     w = fermat_equivalence_check(args.x, args.y, args.z, args.n, kind=args.kind, sigma=args.sigma,
@@ -269,7 +271,8 @@ _SUITES: Dict[str, Callable[..., List[verify.Check]]] = {
 
 @_command("verify", "PASS/FAIL property suites",
           _flag("--suite", choices=list(_SUITES), default="asymptotics"),
-          _flag("--heights", type=_float_list, default=[1e3, 5e3, 2e4]),
+          _flag("--heights", type=_float_list, default=[1e3, 5e3, 2e4],
+                help=_LIST_HELP.format("--heights")),
           _flag("--nu-max", type=int, default=20000),
           _flag("--n-heights", type=int, default=25),
           _flag("--seed", type=_nonnegative_int, default=20260809))

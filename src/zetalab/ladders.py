@@ -1,4 +1,4 @@
-"""Reverse iterations of the ladder map and their partition properties.
+"""Reverse iterations of the ladder map and ladder chains.
 
 The reverse step is defined operationally: U = T^1 solves
 
@@ -26,24 +26,9 @@ from .zeta import _BLOCK, EULER_GAMMA, MAX_HEIGHT, hardy_z_many
 
 @dataclass(frozen=True)
 class LadderChain:
-    base: float
     iterates: List[float]  # T^1 < T^2 < ... < T^k
     residuals: List[float]  # per-step |integral - (1-c) T^{r-1}|
     slices: List[float]  # per-step integral of Z^2 over [T^{r-1}, T^r]
-
-    @property
-    def k(self) -> int:
-        return len(self.iterates)
-
-    def heights(self) -> List[float]:
-        return [self.base] + list(self.iterates)
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    gap_ratios: List[float]  # (T^{r+1}-T^r) / (T^r - T^{r-1})
-    integral_ratios: List[float]  # consecutive slice second moments
-    gap_prediction_ratios: List[float]  # gap / ((1-c) T^{r-1} / ln T^{r-1})
 
 
 def _bracket(T: float, target: float) -> Tuple[float, float, float, float]:
@@ -167,23 +152,4 @@ def ladder_chain(T: float, k: int) -> LadderChain:
         residuals.append(abs(got - target))
         slices.append(got)
         cur = nxt
-    return LadderChain(base=float(T), iterates=iterates, residuals=residuals,
-                       slices=slices)
-
-
-def partition_report(chain: LadderChain) -> PartitionReport:
-    """The three ratio families behind the equidistant-partition claims."""
-    if chain.k < 2:
-        raise DomainError("partition_report needs a chain with k >= 2")
-    hs = chain.heights()
-    gaps = [hs[r + 1] - hs[r] for r in range(chain.k)]
-    slices = chain.slices
-    gap_ratios = [gaps[r + 1] / gaps[r] for r in range(chain.k - 1)]
-    integral_ratios = [slices[r + 1] / slices[r] for r in range(chain.k - 1)]
-    preds = [(1.0 - EULER_GAMMA) * hs[r] / math.log(hs[r]) for r in range(chain.k)]
-    gap_prediction_ratios = [gaps[r] / preds[r] for r in range(chain.k)]
-    return PartitionReport(
-        gap_ratios=gap_ratios,
-        integral_ratios=integral_ratios,
-        gap_prediction_ratios=gap_prediction_ratios,
-    )
+    return LadderChain(iterates=iterates, residuals=residuals, slices=slices)

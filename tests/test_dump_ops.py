@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from zetalab import cli
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TOOL = os.path.join(ROOT, "tools", "dump_ops.py")
 
@@ -51,3 +53,16 @@ def test_existing_out_exits_2_before_any_workload(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"dump_ops.py: --out {out} already exists\n"
     assert proc.stdout == "" and list(out.iterdir()) == []
+
+
+def _value(argv, flag):
+    return argv[argv.index(flag) + 1] if flag in argv else None
+
+
+def test_cli_group_runs_every_command_and_suite(dump_ops):
+    ops = dump_ops.CLI_OPS
+    assert {argv[0] for argv in ops} == set(cli._COMMANDS)
+    assert {_value(argv, "--suite") for argv in ops} - {None} == set(cli._SUITES)
+    first_b = min(k for k, argv in enumerate(ops) if _value(argv, "--kind") == "B")
+    assert any(argv[0] == "cbar" for argv in ops[:first_b])
+    assert {argv[0] for argv in ops if _value(argv, "--jobs") == "2"} >= {"z", "s", "functional"}

@@ -8,13 +8,14 @@ import pytest
 from zetalab import (
     DomainError,
     EULER_GAMMA,
+    RootError,
     hardy_z_many,
     ladder_chain,
-    partition_report,
     reverse_iterate,
     second_moment_critical,
 )
 from zetalab import ladders
+from zetalab.cli import main
 from zetalab.quad import _gl, _gl_inner_gap, critical_panel_width, gauss_panels
 
 
@@ -99,6 +100,58 @@ class TestReverseIterate:
         assert sum(points) <= 45_056
 
 
+class TestBracketGrowth:
+    """Z patched inside `ladders` only, so the step's window memo is
+    emptied before and after each test."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self, clear_memos):
+        clear_memos()
+        yield
+        clear_memos()
+
+    @staticmethod
+    def count_tries(monkeypatch):
+        tries = []
+        panels = ladders.gauss_panels
+
+        def counting_panels(*args, **kw):
+            tries.append(1)
+            return panels(*args, **kw)
+
+        monkeypatch.setattr(ladders, "gauss_panels", counting_panels)
+        return tries
+
+    def test_grows_the_bracket_until_the_target_is_reached(self, monkeypatch):
+        # with Z halved the step needs 4 (1-gamma) T of the true integral,
+        # about 4 gaps: beyond 2.2 and 3.52 gaps, within 5.63
+        tries = self.count_tries(monkeypatch)
+        z = ladders.hardy_z_many
+        monkeypatch.setattr(ladders, "hardy_z_many", lambda t: 0.5 * z(t))
+        T = 1000.0
+        U = reverse_iterate(T)
+        assert len(tries) == 3
+        assert second_moment_critical(T, U).value == pytest.approx(
+            4.0 * (1.0 - EULER_GAMMA) * T, rel=1e-9)
+
+    def test_gives_up_after_eight_tries(self, monkeypatch):
+        tries = self.count_tries(monkeypatch)
+        monkeypatch.setattr(ladders, "hardy_z_many", np.zeros_like)
+        message = r"^failed to bracket the reverse iterate of T=1000\.0$"
+        with pytest.raises(RootError, match=message):
+            reverse_iterate(1000.0)
+        assert len(tries) == 8
+
+    def test_cli_exits_3_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ladders, "hardy_z_many", np.zeros_like)
+        out = tmp_path / "l.csv"
+        code = main(["ladder", "--T", "1000", "--out", str(out),
+                     "--manifest", str(tmp_path / "manifest.jsonl")])
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr() == (
+            "", "computation error: failed to bracket the reverse iterate of T=1000.0\n")
+
+
 class TestLadderChain:
     def test_k1_matches_single_step(self):
         T = 500.0
@@ -106,13 +159,15 @@ class TestLadderChain:
         assert chain.iterates == [reverse_iterate(T)]
 
     def test_strict_ordering_k5(self):
-        chain = ladder_chain(1000.0, 5)
-        hs = chain.heights()
+        T = 1000.0
+        chain = ladder_chain(T, 5)
+        hs = [T] + chain.iterates
         assert all(b > a for a, b in zip(hs, hs[1:]))
 
     def test_residuals_small(self):
-        chain = ladder_chain(1000.0, 3)
-        hs = chain.heights()
+        T = 1000.0
+        chain = ladder_chain(T, 3)
+        hs = [T] + chain.iterates
         for r, resid in enumerate(chain.residuals):
             assert resid <= 1e-6 * hs[r]
 
@@ -133,14 +188,16 @@ class TestLadderChain:
 
 class TestPartition:
     def test_telescoping_exact(self):
-        chain = ladder_chain(1000.0, 4)
-        hs = chain.heights()
+        T = 1000.0
+        chain = ladder_chain(T, 4)
+        hs = [T] + chain.iterates
         gaps = [b - a for a, b in zip(hs, hs[1:])]
         assert math.fsum(gaps) == pytest.approx(hs[-1] - hs[0], abs=1e-9 * hs[-1])
 
     def test_integral_partition(self):
-        chain = ladder_chain(1000.0, 3)
-        hs = chain.heights()
+        T = 1000.0
+        chain = ladder_chain(T, 3)
+        hs = [T] + chain.iterates
         whole = second_moment_critical(hs[0], hs[-1]).value
         parts = math.fsum(
             second_moment_critical(a, b).value for a, b in zip(hs, hs[1:])
@@ -148,26 +205,27 @@ class TestPartition:
         assert parts == pytest.approx(whole, rel=1e-9)
 
     def test_slices_are_the_slice_integrals(self):
-        chain = ladder_chain(1000.0, 3)
-        hs = chain.heights()
+        T = 1000.0
+        chain = ladder_chain(T, 3)
+        hs = [T] + chain.iterates
         for r, value in enumerate(chain.slices):
             assert value == second_moment_critical(hs[r], hs[r + 1]).value
 
     def test_gap_ratios_near_one(self):
-        rep = partition_report(ladder_chain(1e4, 4))
-        assert all(0.9 <= g <= 1.1 for g in rep.gap_ratios)
+        T = 1e4
+        hs = [T] + ladder_chain(T, 4).iterates
+        gaps = [b - a for a, b in zip(hs, hs[1:])]
+        assert all(0.9 <= b / a <= 1.1 for a, b in zip(gaps, gaps[1:]))
 
     def test_integral_ratios_track_height_ratios(self):
-        chain = ladder_chain(1e4, 3)
-        rep = partition_report(chain)
-        hs = chain.heights()
-        for r, ratio in enumerate(rep.integral_ratios):
-            assert ratio == pytest.approx(hs[r + 1] / hs[r], rel=1e-5)
+        T = 1e4
+        chain = ladder_chain(T, 3)
+        hs = [T] + chain.iterates
+        for r, (a, b) in enumerate(zip(chain.slices, chain.slices[1:])):
+            assert b / a == pytest.approx(hs[r + 1] / hs[r], rel=1e-5)
 
     def test_gap_prediction_band(self):
-        rep = partition_report(ladder_chain(1e4, 2))
-        assert all(0.8 <= g <= 1.2 for g in rep.gap_prediction_ratios)
-
-    def test_needs_two_steps(self):
-        with pytest.raises(DomainError):
-            partition_report(ladder_chain(1000.0, 1))
+        T = 1e4
+        hs = [T] + ladder_chain(T, 2).iterates
+        for a, b in zip(hs, hs[1:]):
+            assert 0.8 <= (b - a) / ((1.0 - EULER_GAMMA) * a / math.log(a)) <= 1.2

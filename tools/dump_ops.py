@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Dump what every op of the benchmark's workloads prints and writes.
+"""Dump what the benchmark's ops and every CLI command print and write.
 
     python3 tools/dump_ops.py --root DIR --seed N --out OUT
 
 Each workload of DIR/perfbench/workloads.py runs at seed N in one fresh
 interpreter that imports the package from DIR/src, as the benchmark runs
 it: the ops in order, in a private working directory, so a zero scan
-grows from one op to the next.  For op k the dump holds
+grows from one op to the next.  A fourth group, `cli`, runs the fixed ops
+of CLI_OPS below the same way: every command and every verify suite.
+For op k the dump holds
 
-    OUT/<workload>/<k>.argv     the op's arguments, one per line
-    OUT/<workload>/<k>.stdout   what it printed, and .stderr
-    OUT/<workload>/<k>.exit     its exit code (an escaped exception goes
-                                to <k>.error instead)
-    OUT/<workload>/<k>.<name>   each file it wrote with --out
+    OUT/<group>/<k>.argv     the op's arguments, one per line
+    OUT/<group>/<k>.stdout   what it printed, and .stderr
+    OUT/<group>/<k>.exit     its exit code (an escaped exception goes
+                             to <k>.error instead)
+    OUT/<group>/<k>.<name>   each file it wrote with --out
 
 and, after the last op, cbar.json: the constants cache without its
 timestamps.  Timings and the run manifest are left out, since they change
@@ -39,7 +41,48 @@ from typing import List
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# the workload's interpreter: argv is this directory, the ops as JSON, the dump directory
+# Every command and every verify suite at small heights (about 1 s in all),
+# kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2,
+# and ops that exit 2, 3 and 4.
+CLI_OPS: List[List[str]] = [
+    ["theta", "--t", "1,100.5"],
+    ["z", "--t=-0,10,100,1000.5,5e5", "--jobs", "2"],
+    ["z", "--t", "1e7"],
+    ["s", "--t=-0,100.5,1000,5000", "--jobs", "2", "--out", "s.csv"],
+    ["gram", "--from", "1000", "--to", "1010", "--out", "gram.csv"],
+    ["moments", "--kind", "critical2", "--from", "1000", "--to", "1010"],
+    ["moments", "--kind", "critical2", "--from", "1000", "--to", "1000"],
+    ["moments", "--kind", "sigma2", "--sigma", "1", "--from", "1000", "--to", "1010"],
+    ["moments", "--kind", "s1moment", "--l", "1", "--from", "1000", "--to", "1010"],
+    ["moments", "--kind", "s1moment", "--l", "1000", "--from", "200", "--to", "240"],
+    ["cbar", "--l", "1", "--T", "1000", "--H", "100"],
+    ["ladder", "--T", "1000", "--k", "3", "--out", "ladder.csv"],
+    ["ladder", "--T", "50"],
+    ["sum", "--kind", "pair", "--from", "1000", "--to", "2000"],
+    ["sum", "--kind", "fourth", "--from", "1000", "--to", "2000"],
+    ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "29.6,59.2",
+     "--jobs", "2"],
+    ["functional", "--kind", "B", "--x", "1", "--l", "1", "--tau", "1,2",
+     "--cbar-T", "1000", "--cbar-H", "100", "--jobs", "2"],
+    ["functional", "--kind", "B", "--x", "1", "--l", "1", "--tau", "1",
+     "--cbar-T", "1000", "--cbar-H", "200"],
+    ["functional", "--kind", "C", "--x", "1", "--sigma", "1", "--tau", "97.3",
+     "--jobs", "2"],
+    ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3"],
+    ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--kind", "C",
+     "--sigma", "1", "--tau", "133.6,267.2"],
+    ["fermat", "--x", "3", "--y", "4", "--z", "5", "--n", "3", "--kind", "B", "--l", "1",
+     "--cbar-T", "1000", "--cbar-H", "100", "--tau", "1"],
+    ["chain", "--x", "1", "--sigma", "1", "--l", "1", "--tau", "29.6",
+     "--cbar-T", "1000", "--cbar-H", "100", "--out", "chain.csv"],
+    ["verify", "--suite", "asymptotics", "--heights", "1000,2000,4000"],
+    ["verify", "--suite", "gram", "--nu-max", "200"],
+    ["verify", "--suite", "branch", "--n-heights", "3", "--seed", "1"],
+    ["verify", "--suite", "ladder", "--heights", "1000,5000", "--out", "verify.csv"],
+    ["verify", "--suite", "quotients", "--heights", "1000"],
+]
+
+# the group's interpreter: argv is this directory, the ops as JSON, the dump directory
 CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); import dump_ops; "
          "dump_ops.child(*sys.argv[2:])")
 
@@ -102,17 +145,17 @@ def main() -> int:
 
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    groups = {name: workloads.ops(name, args.seed) for name in workloads.WORKLOADS}
+    groups["cli"] = CLI_OPS
     status = 0
-    for name in workloads.WORKLOADS:
+    for name, ops in groups.items():
         dest = os.path.abspath(os.path.join(args.out, name))
         os.makedirs(dest)
-        ops = json.dumps(workloads.ops(name, args.seed))
         with tempfile.TemporaryDirectory(prefix=f"dump-{name}-") as workdir:
-            proc = subprocess.run([sys.executable, "-c", CHILD, HERE, ops, dest],
+            proc = subprocess.run([sys.executable, "-c", CHILD, HERE, json.dumps(ops), dest],
                                   cwd=workdir, env=env)
         if proc.returncode != 0:
-            print(f"{name}: the workload's interpreter exited {proc.returncode}",
-                  file=sys.stderr)
+            print(f"{name}: the group's interpreter exited {proc.returncode}", file=sys.stderr)
             status = 1
     return status
 
