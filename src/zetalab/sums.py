@@ -10,16 +10,15 @@ per height of a run; `zetalab.verify` judges them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .config import DomainError
-from .gram import _index_bounds, _solve_many
-from .zeta import TWO_PI, hardy_z_many
+from .gram import _gram_table, _gram_z, _index_bounds
+from .zeta import TWO_PI
 
 PAIR_MAIN_CONSTANT = 3.0 / (4.0 * math.pi ** 5)
 FOURTH_MAIN_CONSTANT = 1.0 / (4.0 * math.pi ** 3)
@@ -37,39 +36,34 @@ _KINDS = ("pair", "fourth")
 
 
 def _gram_sum(t_lo: float, t_hi: float, kind: str) -> SumResult:
-    """The pair or fourth-power sum over [t_lo, t_hi)."""
+    """The pair or fourth-power sum over [t_lo, t_hi), from the Gram table:
+    both kinds, and every window, read the same solved points and Z values.
+    """
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("sum window requires 2*pi < t_lo < t_hi")
-    return _gram_window(float(t_lo), float(t_hi))[_KINDS.index(kind)]
-
-
-@functools.lru_cache(maxsize=None)
-def _gram_window(t_lo: float, t_hi: float) -> Tuple[SumResult, SumResult]:
-    """The (pair, fourth) sums over [t_lo, t_hi), memoised together: both
-    kinds share the window's Gram points and Z values, so one solve and
-    one Z evaluation serve both.
-    """
+    t_lo, t_hi = float(t_lo), float(t_hi)
     lo, hi = _index_bounds(t_lo, t_hi)
-    values = {"pair": 0.0, "fourth": 0.0}
+    value = 0.0
     terms = 0
     if hi >= lo:
         # one index past the window for the pair's last factor
-        ts, _ = _solve_many(lo, hi + 1)
+        ts, _ = _gram_table(lo, hi + 1)
         inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
         terms = len(inside)
         if terms:
-            z = hardy_z_many(ts[inside[0] : inside[-1] + 2])
-            z2 = z ** 2
-            values["pair"] = math.fsum((z2[:-1] * z2[1:]).tolist())
-            values["fourth"] = math.fsum((z[:-1] ** 4).tolist())
+            z = _gram_z(lo + int(inside[0]), lo + int(inside[-1]) + 1)
+            if kind == "pair":
+                z2 = z ** 2
+                value = math.fsum((z2[:-1] * z2[1:]).tolist())
+            else:
+                value = math.fsum((z[:-1] ** 4).tolist())
 
-    doubling = abs(t_hi - 2.0 * t_lo) <= 1e-9 * t_hi
-    results = []
-    for k, const in zip(_KINDS, (PAIR_MAIN_CONSTANT, FOURTH_MAIN_CONSTANT)):
-        main = const * t_lo * math.log(t_lo) ** 5 if doubling else None
-        results.append(SumResult(terms=terms, value=values[k], main_term=main,
-                                 ratio=None if main is None else values[k] / main))
-    return tuple(results)
+    main = None
+    if abs(t_hi - 2.0 * t_lo) <= 1e-9 * t_hi:
+        const = PAIR_MAIN_CONSTANT if kind == "pair" else FOURTH_MAIN_CONSTANT
+        main = const * t_lo * math.log(t_lo) ** 5
+    return SumResult(terms=terms, value=value, main_term=main,
+                     ratio=None if main is None else value / main)
 
 
 def titchmarsh_sum(t_lo: float, t_hi: float) -> SumResult:

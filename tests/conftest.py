@@ -9,8 +9,8 @@ mp.mp.dps = 30
 
 @pytest.fixture
 def clear_memos():
-    """A function that empties the process's window memos (see the README's
-    numerical notes), so the next run computes every window afresh: each
+    """A function that empties the process's memos and the Gram table (see
+    the README's numerical notes), so the next run computes afresh: each
     module-level attribute of a zetalab module that has `cache_clear`."""
     import zetalab
 

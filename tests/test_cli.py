@@ -59,11 +59,18 @@ class TestDeterminism:
                              tmp_path, "b.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_invariance(self, tmp_path):
-        base = ["z", "--t", "100.5,250.25,777.125,1500.0625"]
-        _, out1, _ = run_cli(base + ["--jobs", "1"], tmp_path, "j1.csv")
-        _, out4, _ = run_cli(base + ["--jobs", "4"], tmp_path, "j4.csv")
-        assert out1.read_bytes() == out4.read_bytes()
+    def test_jobs_invariance(self, tmp_path, clear_memos):
+        # `functional` is the thread pool's one user; from empty memos, its
+        # two workers fill the Gram table's blocks concurrently
+        base = ["functional", "--kind", "A", "--x", "1", "--sigma", "1",
+                "--tau", "29.6,59.2,118.4"]
+        outs = []
+        for jobs in ("1", "2"):
+            clear_memos()
+            code, out, _ = run_cli(base + ["--jobs", jobs], tmp_path, f"j{jobs}.csv")
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_ladder_rerun_identical(self, tmp_path):
         _, out1, _ = run_cli(["ladder", "--T", "1000", "--k", "2"], tmp_path, "l1.csv")

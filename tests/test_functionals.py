@@ -20,7 +20,7 @@ from zetalab import (
     reverse_iterate,
     substitution_constant,
 )
-from zetalab import config, functionals, ladders, moments, sums
+from zetalab import config, functionals, gram, ladders, moments
 from zetalab.quad import panel_sums
 
 ZETA2 = math.pi ** 2 / 6.0
@@ -154,9 +154,10 @@ class TestCriticalWindow:
 
     def test_window_costs_no_second_integration(self, monkeypatch, clear_memos):
         # kind A at T = 1e4: 41,443 Z points for the ladder step and 12,350
-        # for the pair sum; integrating the window again took 118,680 more
+        # for the pair sum (its Gram table blocks, at most 2,046 more);
+        # integrating the window again took 118,680 more
         points = {}
-        for mod in (ladders, moments, sums):
+        for mod in (ladders, moments, gram):
             def counting_z(t, z=mod.hardy_z_many, name=mod.__name__):
                 points[name] = points.get(name, 0) + len(t)
                 return z(t)

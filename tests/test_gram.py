@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from zetalab import (
     DomainError,
+    RootError,
     gram_point,
     gram_points,
     gram_range,
     theta,
 )
+from zetalab import gram
 from zetalab.cli import main
 from zetalab.gram import _NU_MAX, _initial_guess, _solve_many
 from zetalab.sums import titchmarsh_sum
@@ -87,6 +89,21 @@ class TestPolish:
         assert np.all(np.abs(theta(old) - target) <= gate)
         assert np.all(np.abs(new - old) <= 6.0 * np.spacing(old))
 
+    def test_newton_stops_only_at_a_fixed_point(self):
+        # per-point stopping gives the bits of six full steps on every point
+        nus = np.concatenate([np.arange(1.0, 20001.0), np.arange(2e5, 2.05e5)])
+        target = np.pi * nus
+        t = _initial_guess(nus)
+        for _ in range(6):
+            t = t - (theta(t) - target) / theta_deriv(t)
+        resid = theta(t) - target
+        cand = np.nextafter(t, np.where(resid > 0, -np.inf, np.inf))
+        cand_r = np.abs(theta(cand) - target)
+        better = cand_r < np.abs(resid)
+        ts, rs = np.concatenate([_solve_many(1, 20000), _solve_many(200000, 204999)], axis=1)
+        assert np.array_equal(ts, np.where(better, cand, t))
+        assert np.array_equal(rs, np.where(better, cand_r, np.abs(resid)))
+
     def test_solve_returns_the_residual_of_its_point(self):
         # the residual the solve kept is |theta(t) - pi nu| recomputed, bit for bit
         nus = np.arange(1.0, 20001.0)
@@ -95,6 +112,44 @@ class TestPolish:
         for nu in (1, 2, 77, 10000, 20000):
             p = gram_point(nu)
             assert p.residual == abs(theta(p.t) - math.pi * nu)
+
+
+class TestTable:
+    @pytest.mark.parametrize("lo, hi", [(1, 1), (1, 600), (500, 2100), (1023, 1025),
+                                        (200000, 201000), (_NU_MAX - 700, _NU_MAX)])
+    def test_points_equal_one_solve_of_their_range(self, lo, hi):
+        ts, res = _solve_many(lo, hi)
+        pts = gram_points(lo, hi)
+        assert [p.nu for p in pts] == list(range(lo, hi + 1))
+        assert np.array_equal([p.t for p in pts], ts)
+        assert np.array_equal([p.residual for p in pts], res)
+
+    def test_the_residual_gate_reads_the_asked_indices_only(self, monkeypatch, clear_memos):
+        # a failing residual in the block fails the query that asks for it alone
+        solve = gram._solve_many
+
+        def off_at_700(nu_lo, nu_hi):
+            ts, res = solve(nu_lo, nu_hi)
+            if nu_lo <= 700 <= nu_hi:
+                res = res.copy()
+                res[700 - nu_lo] = 1e-6
+            return ts, res
+
+        clear_memos()
+        monkeypatch.setattr(gram, "_solve_many", off_at_700)
+        try:
+            assert len(gram_points(513, 699)) == 187
+            assert len(gram_points(701, 1024)) == 324
+            with pytest.raises(RootError, match="residual 1.000e-06 > tolerance at nu=700"):
+                gram_points(600, 800)
+        finally:
+            clear_memos()
+
+    def test_the_height_limit_is_checked_before_any_solve(self, clear_memos):
+        clear_memos()
+        with pytest.raises(DomainError, match=rf"Gram index {_NU_MAX + 1} lies above"):
+            gram_points(_NU_MAX - 10, _NU_MAX + 1)
+        assert gram._solved_block.cache_info().currsize == 0
 
 
 class TestGramRange:

@@ -1,10 +1,16 @@
 """Gram-indexed pair and fourth-power sums and their asymptotic ratios."""
 
+import importlib.util
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import (
     DomainError,
@@ -15,8 +21,13 @@ from zetalab import (
     titchmarsh_sum,
     verify_asymptotic_trend,
 )
-from zetalab import sums, verify
+from zetalab import gram, verify
+from zetalab.cli import main
 from zetalab.sums import FOURTH_MAIN_CONSTANT, PAIR_MAIN_CONSTANT
+from zetalab.zeta import MAX_HEIGHT, RS_CROSSOVER
+
+WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench", "workloads.py")
 
 # Desk-scale ratios, frozen from this pipeline after oracle spot-checks
 # of Z at Gram points (25 random indices to 3e-9 against mpmath).  Both
@@ -133,12 +144,87 @@ class TestSharedWindow:
         assert a.value == pair
         assert b.value == fourth
 
-    def test_one_memo_entry_serves_both_kinds(self):
-        sums._gram_window.cache_clear()
+    def test_one_memo_entry_serves_both_kinds(self, clear_memos):
+        # one solve and one Z evaluation of the window's table blocks serve both kinds
+        clear_memos()
         titchmarsh_sum(400.0, 800.0)
+        solved, z = gram._solved_block.cache_info(), gram._z_block.cache_info()
         fourth_power_sum(400.0, 800.0)
-        info = sums._gram_window.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert gram._solved_block.cache_info().misses == solved.misses > 0
+        assert gram._z_block.cache_info().misses == z.misses > 0
+        assert gram._solved_block.cache_info().hits > solved.hits
+        assert gram._z_block.cache_info().hits > z.hits
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.floats(2.0 * math.pi, 3e3, exclude_min=True),
+                  st.floats(RS_CROSSOVER, 3e3)).filter(lambda w: w[0] < w[1]),
+        st.sampled_from([(7.0, 300.0), (30.0, 120.0), (MAX_HEIGHT - 3.0, MAX_HEIGHT)])),
+        min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_table_matches_separate_solves_in_any_order(self, windows):
+        # windows overlap and repeat in any order, read through one cold
+        # table; each ends at or above RS_CROSSOVER, where the reference's
+        # Euler-Maclaurin block is the sums' block (see the next test)
+        gram._solved_block.cache_clear()
+        gram._z_block.cache_clear()
+        read = [(titchmarsh_sum(*w), fourth_power_sum(*w)) for w in windows]
+        for (lo, hi), (pair, fourth) in zip(windows, read):
+            if not gram_range(lo, hi):
+                assert pair.terms == fourth.terms == 0 and pair.value == fourth.value == 0.0
+                continue
+            terms, pair_ref, fourth_ref = self._separate_solves(lo, hi)
+            assert pair.terms == fourth.terms == terms
+            assert (pair.value, fourth.value) == (pair_ref, fourth_ref)
+
+    @pytest.mark.parametrize("window", [(10.0, 30.0), (20.0, 45.0), (7.0, 48.0), (24.0, 48.0)])
+    def test_z_below_the_crossover_is_evaluated_on_the_window(self, clear_memos, window):
+        # below RS_CROSSOVER Z comes from one Euler-Maclaurin block whose
+        # cutoff and tail follow its points: the window's points and the
+        # one past it, whatever block 0 of the table holds
+        clear_memos()
+        titchmarsh_sum(7.0, 300.0)
+        pts = gram_range(*window)
+        ts = np.array([p.t for p in gram_points(pts[0].nu, pts[-1].nu + 1)])
+        assert ts[-1] < RS_CROSSOVER
+        z = hardy_z_many(ts)
+        assert fourth_power_sum(*window).value == math.fsum((z[:-1] ** 4).tolist())
+        z2 = z ** 2
+        assert titchmarsh_sum(*window).value == math.fsum((z2[:-1] * z2[1:]).tolist())
+
+    def test_threads_filling_the_table_agree_with_one_thread(self, clear_memos):
+        # six workers on two cores race for the same cold blocks; a block
+        # filled twice must hold the same bits, whichever fill is kept
+        windows = [(2000.0 + 37.0 * k, 4000.0 + 53.0 * k) for k in range(6)]
+        clear_memos()
+        alone = [(titchmarsh_sum(*w), fourth_power_sum(*w)) for w in windows]
+        clear_memos()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda w: (titchmarsh_sum(*w), fourth_power_sum(*w)), w)
+                           for w in windows]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == alone
+
+    def test_fermat_reuses_the_functional_windows(self, clear_memos, tmp_path, capsys):
+        # the offline-functional workload: fermat's kind-C windows differ
+        # from functional A's in the last digits, not in their table blocks
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        functional, fermat = workloads.ops("offline-functional", 1003)
+        isolate = ["--manifest", str(tmp_path / "m.jsonl"), "--cache-dir", str(tmp_path)]
+        clear_memos()
+        assert main(functional + isolate) == 0
+        solved, z = gram._solved_block.cache_info(), gram._z_block.cache_info()
+        assert main(fermat + isolate) == 0
+        capsys.readouterr()
+        assert gram._solved_block.cache_info().misses == solved.misses
+        assert gram._z_block.cache_info().misses == z.misses
+        assert gram._z_block.cache_info().hits > z.hits
 
 
 class TestTrend:

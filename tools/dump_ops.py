@@ -43,7 +43,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Every command and every verify suite at small heights (about 1 s in all),
 # kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2,
-# and ops that exit 2, 3 and 4.
+# and ops that exit 2, 3 and 4.  The sums include a window with Z below the
+# Riemann-Siegel crossover and one overlapping a window summed before it.
 CLI_OPS: List[List[str]] = [
     ["theta", "--t", "1,100.5"],
     ["z", "--t=-0,10,100,1000.5,5e5", "--jobs", "2"],
@@ -58,8 +59,10 @@ CLI_OPS: List[List[str]] = [
     ["cbar", "--l", "1", "--T", "1000", "--H", "100"],
     ["ladder", "--T", "1000", "--k", "3", "--out", "ladder.csv"],
     ["ladder", "--T", "50"],
+    ["sum", "--kind", "pair", "--from", "10", "--to", "100"],
     ["sum", "--kind", "pair", "--from", "1000", "--to", "2000"],
     ["sum", "--kind", "fourth", "--from", "1000", "--to", "2000"],
+    ["sum", "--kind", "fourth", "--from", "999.99", "--to", "1999.98"],
     ["functional", "--kind", "A", "--x", "1", "--sigma", "1", "--tau", "29.6,59.2",
      "--jobs", "2"],
     ["functional", "--kind", "B", "--x", "1", "--l", "1", "--tau", "1,2",
