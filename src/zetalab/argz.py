@@ -135,13 +135,17 @@ class ZeroCache:
 
     The grid is cut into blocks [a, 1.3 a + 5), and the scan up to a
     ceiling truncates the last one.  A higher ceiling grows the scan
-    instead of redoing it: the grid restarts two blocks below the old
-    truncated block, the old zeros below the next block start are kept
-    and only the new ones above it are located and added.  Z above
-    RS_CROSSOVER depends only on its own t, and every bracket there is
-    built from grid points and dips the old and new grids share, so the
-    grown zeros are bit-identical to a fresh scan.  A restart below
-    RS_CROSSOVER, where Z depends on its block, rescans in full.
+    instead of redoing it.  The grid points below the old truncated
+    block, and its first point, are the same in the old and new grids,
+    so only brackets and dips that reach its second point differ, and
+    their zeros lie at or above the last grid point before it.  The old
+    zeros below the split, the grid point two cells below the truncated
+    block, are kept; Z is evaluated from two grid points below the split,
+    the neighbours every bracket ending above it needs, and only the
+    zeros above it are located and added.  Z above RS_CROSSOVER depends
+    only on its own t, so the grown zeros are bit-identical to a fresh
+    scan.  When the block two below the truncated one starts below
+    RS_CROSSOVER, where Z depends on its block, the scan is redone.
     """
 
     FIRST_ZERO_FLOOR = 10.0
@@ -184,21 +188,27 @@ class ZeroCache:
         if k < 0 or old[k] < RS_CROSSOVER:
             zeros = self._scan(starts, t_hi)
         else:
-            split = old[k + 1]
+            # the grid point two cells below the old truncated block, whose
+            # points beyond its start change with the ceiling
+            split = float(self._block_grid(old[k + 1], old[k + 2])[-2])
             zeros = np.concatenate([
                 self.zeros[: np.searchsorted(self.zeros, split)],
-                self._scan(starts[k:], t_hi, split),
+                self._scan(starts[k + 1:], t_hi, split),
             ])
         self._check_count(zeros, t_hi)
         return zeros
 
+    @staticmethod
+    def _block_grid(a: float, b: float) -> np.ndarray:
+        """The grid points of the block [a, b): equal cells, each at most a
+        fixed fraction of the mean gap at a."""
+        gap = TWO_PI / math.log(max(a, 20.0) / TWO_PI)
+        h = max(min(0.25, 0.15 * gap), 1e-4)
+        n = int(math.ceil((b - a) / h))
+        return np.linspace(a, b, n + 1)[:-1]
+
     def _grid(self, starts: list, t_hi: float) -> np.ndarray:
-        blocks = []
-        for a, b in zip(starts, starts[1:] + [t_hi]):
-            gap = TWO_PI / math.log(max(a, 20.0) / TWO_PI)
-            h = max(min(0.25, 0.15 * gap), 1e-4)
-            n = int(math.ceil((b - a) / h))
-            blocks.append(np.linspace(a, b, n + 1)[:-1])
+        blocks = [self._block_grid(a, b) for a, b in zip(starts, starts[1:] + [t_hi])]
         blocks.append(np.array([t_hi]))
         return np.concatenate(blocks)
 

@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,25 +125,46 @@ def _split_gaps(edges: np.ndarray) -> np.ndarray:
 
 
 def s1_moment(l: int, t_lo: float, t_hi: float) -> MomentEstimate:
-    """integral of |S1(t)|^{2l} over [t_lo, t_hi].
+    """integral of |S1(t)|^{2l} over [t_lo, t_hi]: the one-window case of
+    `_s1_moments`.
 
     S1 is piecewise smooth with kinks exactly at the zero ordinates, so
     panels are the zero gaps (split to less than 2.0 wide) and nodes never
     straddle a kink.  GK21 on each panel, all nodes in one `value_many`
     call; quad_error is the |K21 - G10| sum.
     """
+    return _s1_moments(l, [(t_lo, t_hi)])[0]
+
+
+def _s1_moments(l: int, windows: List[Tuple[float, float]]) -> List[MomentEstimate]:
+    """`s1_moment` over each window, with S1 sampled once per distinct panel.
+
+    Every window is checked before any table is read.  Each window's
+    panels are built as for a lone window; the nodes of the distinct
+    panels go to one `value_many` call, on the tables prepared up to the
+    highest window end.  A window's value and error are the fsums of its
+    own panels' sums, and fsum is exactly rounded, so each estimate is
+    bit for bit that of the window alone.
+    """
     if l < 1:
         raise DomainError("l must be >= 1")
-    _check_window(t_lo, t_hi)
-    if t_lo == t_hi:
-        return MomentEstimate(0.0, 0.0)
+    for t_lo, t_hi in windows:
+        _check_window(t_lo, t_hi)
+    live = [(a, b) for a, b in windows if a != b]
+    if not live:
+        return [MomentEstimate(0.0, 0.0)] * len(windows)
     ev = shared_s1_evaluator()
-    edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
-    nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
+    ev.ensure(max(b for _, b in live))
+    edges = [_split_gaps(np.concatenate([[a], ev.zeros_in(a, b), [b]])) for a, b in live]
+    panels, where = np.unique(np.concatenate([np.column_stack([e[:-1], e[1:]]) for e in edges]),
+                              axis=0, return_inverse=True)
+    where = np.split(where.ravel(), np.cumsum([len(e) - 1 for e in edges])[:-1])
+    nodes, half = _nodes(panels[:, 0], panels[:, 1], _GK_X)
     with np.errstate(over="ignore", invalid="ignore"):  # check_error rejects inf and nan
         vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
-        value, err = check_error(*kronrod_sums(vals, half), what="s1moment")
-    return MomentEstimate(value, err)
+        est = {w: MomentEstimate(*check_error(*kronrod_sums(vals[i], half[i]), what="s1moment"))
+               for w, i in zip(live, where)}
+    return [est.get(w, MomentEstimate(0.0, 0.0)) for w in windows]
 
 
 def estimate_cbar(l: int, T: float, H: float) -> CbarEstimate:
@@ -151,9 +172,10 @@ def estimate_cbar(l: int, T: float, H: float) -> CbarEstimate:
 
     Enforces the window constraint T^a <= H <= T (a = 0.6) and reports
     the spread across four equal sub-windows; it writes no file (pass
-    the estimate to `ConstantsCache.put` to keep it).  The whole-window
-    call prepares the S1 tables up to T + H, so the four sub-windows read
-    the same table generation.
+    the estimate to `ConstantsCache.put` to keep it).  The five windows
+    go to `_s1_moments` together: one table generation up to T + H, and
+    one S1 sample per distinct panel, since the quarters reuse the whole
+    window's panels except in the three gaps their boundaries split.
     """
     if l < 1:
         raise DomainError("l must be >= 1")
@@ -163,9 +185,10 @@ def estimate_cbar(l: int, T: float, H: float) -> CbarEstimate:
         raise DomainError(
             f"window constraint violated: need T^{CBAR_WINDOW_EXPONENT} <= H <= T"
         )
-    cbar = s1_moment(l, T, T + H).value / H
-    spread = max(abs(s1_moment(l, T + j * H / 4.0, T + (j + 1) * H / 4.0).value / (H / 4.0)
-                     - cbar) for j in range(4))
+    whole, *quarters = _s1_moments(
+        l, [(T, T + H)] + [(T + j * H / 4.0, T + (j + 1) * H / 4.0) for j in range(4)])
+    cbar = whole.value / H
+    spread = max(abs(q.value / (H / 4.0) - cbar) for q in quarters)
     return CbarEstimate(l=int(l), T=float(T), H=float(H), cbar=float(cbar), spread=float(spread))
 
 

@@ -38,6 +38,9 @@ _KINDS = ("pair", "fourth")
 def _gram_sum(t_lo: float, t_hi: float, kind: str) -> SumResult:
     """The pair or fourth-power sum over [t_lo, t_hi), from the Gram table:
     both kinds, and every window, read the same solved points and Z values.
+    Below RS_CROSSOVER, where Z is evaluated on the points read, the
+    fourth-power sum reads the window's points and the pair sum those and
+    the point past the window.
     """
     if not (TWO_PI < t_lo < t_hi):
         raise DomainError("sum window requires 2*pi < t_lo < t_hi")
@@ -51,12 +54,12 @@ def _gram_sum(t_lo: float, t_hi: float, kind: str) -> SumResult:
         inside = np.nonzero((t_lo <= ts[:-1]) & (ts[:-1] < t_hi))[0]
         terms = len(inside)
         if terms:
-            z = _gram_z(lo + int(inside[0]), lo + int(inside[-1]) + 1)
+            first, last = lo + int(inside[0]), lo + int(inside[-1])
             if kind == "pair":
-                z2 = z ** 2
+                z2 = _gram_z(first, last + 1) ** 2
                 value = math.fsum((z2[:-1] * z2[1:]).tolist())
             else:
-                value = math.fsum((z[:-1] ** 4).tolist())
+                value = math.fsum((_gram_z(first, last) ** 4).tolist())
 
     main = None
     if abs(t_hi - 2.0 * t_lo) <= 1e-9 * t_hi:

@@ -226,6 +226,37 @@ class TestZeroCacheGrowth:
             # a restart would fall below the crossover: rescanned in full
             assert restarts == [ZeroCache.FIRST_ZERO_FLOOR] * 2
 
+    # ceilings whose scan target t * 1.02 + 5 lies just above or below a block start
+    _NEAR_STARTS = [(a - 5.0) / 1.02 + d for a in ZeroCache()._block_starts(2.05e4)
+                    for d in (-1e-3, 1e-3) if 100.0 <= (a - 5.0) / 1.02 + d <= 2e4]
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.lists(st.one_of(st.floats(100.0, 2e4), st.sampled_from(_NEAR_STARTS)),
+                    min_size=2, max_size=3, unique=True).map(sorted))
+    def test_grown_zeros_equal_a_fresh_scan_at_any_ceilings(self, ceilings):
+        cache = ZeroCache()
+        for t in ceilings:
+            cache.ensure(t)
+        assert np.array_equal(cache.zeros, ZeroCache().ensure(ceilings[-1]))
+
+    def test_growth_evaluates_nothing_below_the_kept_zeros(self, monkeypatch):
+        # the kept zeros end two grid cells below the old truncated block,
+        # and a bracket ending above them needs at most two cells more
+        cache = ZeroCache()
+        cache.ensure(5500.0)
+        old = cache._block_starts(cache.t_max)
+        cell = old[-1] - cache._block_grid(old[-2], old[-1])[-1]
+        seen = []
+        z = argz.hardy_z_many
+
+        def recording_z(t):
+            seen.append(np.min(t))
+            return z(t)
+
+        monkeypatch.setattr(argz, "hardy_z_many", recording_z)
+        cache.ensure(11000.0)
+        assert old[-1] - 4.0 * cell * (1.0 + 1e-9) <= min(seen) < old[-1]
+
     def test_early_exit_matches_52_rounds(self, monkeypatch):
         a, b, fa, fb = _scan_brackets(3e3)
         keep = a >= RS_CROSSOVER

@@ -28,9 +28,12 @@ from zetalab import (
 )
 from zetalab.moments import _split_gaps
 from zetalab.quad import (
+    _GK_X,
+    _nodes,
     critical_panel_width,
     gauss_panels,
     integrate_panels,
+    kronrod_sums,
     panel_sums,
     sigma_panel_runs,
 )
@@ -279,13 +282,15 @@ class TestCbar:
         assert est.spread == max(abs(q / 50.0 - est.cbar) for q in quarters)
 
     def test_fit_samples_21_nodes_per_panel(self, monkeypatch):
-        # one value_many call of 21 GK nodes per zero-gap panel, for the
-        # whole window and then for each quarter window
+        # one value_many call of 21 GK nodes per distinct zero-gap panel of
+        # the whole window and the four quarter windows
         ev = shared_s1_evaluator()
         ev.ensure(2200.0)
-        panels = [len(_split_gaps(np.concatenate([[a], ev.zeros_in(a, b), [b]]))) - 1
+        panels = [_split_gaps(np.concatenate([[a], ev.zeros_in(a, b), [b]]))
                   for a, b in ((2000.0, 2200.0), (2000.0, 2050.0), (2050.0, 2100.0),
                                (2100.0, 2150.0), (2150.0, 2200.0))]
+        distinct = {p for e in panels for p in zip(e[:-1].tolist(), e[1:].tolist())}
+        assert len(panels[0]) - 1 < len(distinct) < sum(len(e) - 1 for e in panels)
         calls = []
         value_many = type(ev).value_many
 
@@ -295,7 +300,43 @@ class TestCbar:
 
         monkeypatch.setattr(type(ev), "value_many", counting)
         estimate_cbar(1, 2000.0, 200.0)
-        assert calls == [21 * n for n in panels]
+        assert calls == [21 * len(distinct)]
+
+    @staticmethod
+    def _lone_window(l, t_lo, t_hi):
+        """s1_moment as computed before windows shared panels: the window's
+        own panels, and their nodes in a value_many call of their own."""
+        ev = shared_s1_evaluator()
+        edges = _split_gaps(np.concatenate([[t_lo], ev.zeros_in(t_lo, t_hi), [t_hi]]))
+        nodes, half = _nodes(edges[:-1], edges[1:], _GK_X)
+        vals = np.abs(ev.value_many(nodes.ravel()).reshape(nodes.shape)) ** (2 * l)
+        return kronrod_sums(vals, half)
+
+    @pytest.mark.parametrize("l, T, H", [(1, 2000.0, 200.0), (2, 1500.0, 300.0)])
+    def test_fit_windows_equal_separate_moments(self, monkeypatch, l, T, H):
+        # from a fresh evaluator, whose tables the whole window prepares
+        from zetalab import argz, moments
+
+        monkeypatch.setattr(argz, "_SHARED", argz.S1Evaluator())
+        fits = []
+        s1_moments = moments._s1_moments
+
+        def recording(l, windows):
+            fits.append((windows, s1_moments(l, windows)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(moments, "_s1_moments", recording)
+        est = estimate_cbar(l, T, H)
+        ((windows, got),) = fits
+        assert windows == [(T, T + H)] + [(T + j * H / 4.0, T + (j + 1) * H / 4.0)
+                                          for j in range(4)]
+        zeros = shared_s1_evaluator().zeros_in(T, T + H)
+        for _, q in windows[1:4]:  # each quarter boundary splits a zero gap
+            assert zeros[0] < q < zeros[-1] and q not in zeros
+        for (a, b), m in zip(windows, got):
+            assert (m.value, m.quad_error) == self._lone_window(l, a, b)
+            assert m == s1_moment(l, a, b)
+        assert est.cbar == got[0].value / H
 
     def test_window_constraint(self):
         with pytest.raises(DomainError):

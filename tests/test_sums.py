@@ -179,16 +179,17 @@ class TestSharedWindow:
     @pytest.mark.parametrize("window", [(10.0, 30.0), (20.0, 45.0), (7.0, 48.0), (24.0, 48.0)])
     def test_z_below_the_crossover_is_evaluated_on_the_window(self, clear_memos, window):
         # below RS_CROSSOVER Z comes from one Euler-Maclaurin block whose
-        # cutoff and tail follow its points: the window's points and the
-        # one past it, whatever block 0 of the table holds
+        # cutoff and tail follow its points: the window's points for the
+        # fourth-power sum, and the one past it too for the pair sum,
+        # whatever block 0 of the table holds
         clear_memos()
         titchmarsh_sum(7.0, 300.0)
         pts = gram_range(*window)
         ts = np.array([p.t for p in gram_points(pts[0].nu, pts[-1].nu + 1)])
         assert ts[-1] < RS_CROSSOVER
-        z = hardy_z_many(ts)
-        assert fourth_power_sum(*window).value == math.fsum((z[:-1] ** 4).tolist())
-        z2 = z ** 2
+        fourth = math.fsum((hardy_z_many(ts[:-1]) ** 4).tolist())
+        assert fourth_power_sum(*window).value == fourth
+        z2 = hardy_z_many(ts) ** 2
         assert titchmarsh_sum(*window).value == math.fsum((z2[:-1] * z2[1:]).tolist())
 
     def test_threads_filling_the_table_agree_with_one_thread(self, clear_memos):

@@ -45,6 +45,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2,
 # and ops that exit 2, 3 and 4.  The sums include a window with Z below the
 # Riemann-Siegel crossover and one overlapping a window summed before it.
+# The S1 ops grow one zero scan through four ceilings (about 321, 1035, 1127
+# and 2055), and the second c-bar fit reads tables built for a higher one.
 CLI_OPS: List[List[str]] = [
     ["theta", "--t", "1,100.5"],
     ["z", "--t=-0,10,100,1000.5,5e5", "--jobs", "2"],
@@ -54,9 +56,12 @@ CLI_OPS: List[List[str]] = [
     ["moments", "--kind", "critical2", "--from", "1000", "--to", "1010"],
     ["moments", "--kind", "critical2", "--from", "1000", "--to", "1000"],
     ["moments", "--kind", "sigma2", "--sigma", "1", "--from", "1000", "--to", "1010"],
+    ["moments", "--kind", "s1moment", "--l", "1", "--from", "290", "--to", "310"],
     ["moments", "--kind", "s1moment", "--l", "1", "--from", "1000", "--to", "1010"],
     ["moments", "--kind", "s1moment", "--l", "1000", "--from", "200", "--to", "240"],
     ["cbar", "--l", "1", "--T", "1000", "--H", "100"],
+    ["moments", "--kind", "s1moment", "--l", "2", "--from", "1990", "--to", "2010"],
+    ["cbar", "--l", "2", "--T", "1500", "--H", "300"],
     ["ladder", "--T", "1000", "--k", "3", "--out", "ladder.csv"],
     ["ladder", "--T", "50"],
     ["sum", "--kind", "pair", "--from", "10", "--to", "100"],
