@@ -146,6 +146,10 @@ class ZeroCache:
     only on its own t, so the grown zeros are bit-identical to a fresh
     scan.  When the block two below the truncated one starts below
     RS_CROSSOVER, where Z depends on its block, the scan is redone.
+    ensure(t) scans to the target 1.02 t + 5 and grows whenever that
+    target rises, since the truncated block's points follow it.  So for
+    any call history, the zeros held after ensure(t) equal those of a
+    fresh ensure(u), u the highest ceiling asked for so far.
     """
 
     FIRST_ZERO_FLOOR = 10.0
@@ -159,10 +163,10 @@ class ZeroCache:
     def ensure(self, t_max: float) -> np.ndarray:
         if not t_max <= MAX_HEIGHT:
             raise DomainError(f"zero scan to t = {t_max:g} is above {MAX_HEIGHT:g}")
+        # capped, so that the count check at the ceiling is in s_of_t's range
+        target = min(max(t_max * 1.02 + 5.0, 100.0), MAX_HEIGHT)
         with self._lock:
-            if t_max > self.t_max:
-                # capped, so that the count check at the ceiling is in s_of_t's range
-                target = min(max(t_max * 1.02 + 5.0, 100.0), MAX_HEIGHT)
+            if target > self.t_max:
                 self.zeros = self._grow(target)
                 self.t_max = target
             return self.zeros
@@ -400,8 +404,9 @@ _SHARED = S1Evaluator()
 
 
 def shared_s1_evaluator() -> S1Evaluator:
-    """The process's one evaluator (results are deterministic, so sharing
-    across workers is safe)."""
+    """The process's one evaluator.  Its tables grow with the highest
+    height asked for so far, and their round-off follows that ceiling
+    (ROADMAP item 1)."""
     return _SHARED
 
 

@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__, verify
@@ -65,8 +64,8 @@ _COMMON = [
     _flag("--out", help="CSV output path"),
     _flag("--manifest", default="zetalab_manifest.jsonl",
           help="append-only run manifest (JSON lines)"),
-    _flag("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-          help="worker threads for functional's --tau items (results identical at any value)"),
+    _flag("--jobs", type=_positive_int, default=1,
+          help="accepted and ignored: every command runs in one thread"),
     _flag("--cache-dir", default=".zetalab_cache", help="constants-cache directory"),
 ]
 # argparse reads "-1,2" as an option, so such a list must be joined to its flag
@@ -112,17 +111,6 @@ def _need_cbar(args, cache: ConstantsCache, manifest: RunManifest) -> CbarEstima
                              f"H={args.cbar_H}; run `cbar` first")
     manifest.add_cbar_key(est.cache_key)
     return est
-
-
-def _pmap(jobs: int, fn, items: Sequence):
-    """Order-preserving parallel map over `functional`'s --tau items, the one
-    command that runs faster in threads.  Results are identical at any jobs
-    value, except where they read the S1 tables, whose round-off depends on
-    the highest height asked for so far (ROADMAP item 1)."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 @_command("theta", "theta(t) and its derivative", _T)
@@ -218,8 +206,8 @@ def _functional(args, cache, manifest):
     cbar = _need_cbar(args, cache, manifest) if args.kind == "B" else None
     K = substitution_constant(args.kind, sigma=args.sigma, cbar=cbar)
     manifest.add_constant(f"substitution_K_{args.kind}", K)
-    results = _pmap(args.jobs, lambda tau: functional_approximant(
-        args.kind, args.x, tau, sigma=args.sigma, l=args.l, cbar=cbar), args.tau)
+    results = [functional_approximant(args.kind, args.x, tau, sigma=args.sigma, l=args.l,
+                                      cbar=cbar) for tau in args.tau]
     param = float(args.l) if args.kind == "B" else args.sigma
     return (["kind", "x", "param", "tau", "T", "value", "rel_err"],
             [(args.kind, args.x, param, tau, r.T, r.value, r.rel_err)

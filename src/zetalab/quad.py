@@ -3,7 +3,7 @@ reductions.
 
 Panel meshes are generated from the interval endpoints alone, node
 blocks are fixed-size, and cross-panel reduction uses math.fsum (exactly
-rounded, hence independent of evaluation order and worker count).
+rounded, hence independent of evaluation order).
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ Vectorized kernels are deterministic functions of their input array
 which sets the cutoff and where the Bernoulli tail stops; Riemann-Siegel
 values do not depend on the block at all.  Every operation in this
 package assembles those arrays from its own parameters alone, so op
-results are bit-reproducible across runs and across worker counts;
-worker parallelism only ever distributes whole operations.
+results are bit-reproducible across runs and do not depend on which
+thread runs an operation.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +60,35 @@ class TestDeterminism:
                              tmp_path, "b.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_invariance(self, tmp_path, clear_memos):
-        # `functional` is the thread pool's one user; from empty memos, its
-        # two workers fill the Gram table's blocks concurrently
-        base = ["functional", "--kind", "A", "--x", "1", "--sigma", "1",
-                "--tau", "29.6,59.2,118.4"]
+    @pytest.mark.parametrize("setup, base", [
+        ([], ["functional", "--kind", "A", "--x", "1", "--sigma", "1",
+              "--tau", "29.6,59.2,118.4"]),
+        ([["cbar", "--l", "1", "--T", "10000", "--H", "1000"]],
+         ["functional", "--kind", "B", "--x", "1", "--l", "1", "--tau", "5.7,5.72,5.69",
+          "--cbar-T", "10000", "--cbar-H", "1000"]),
+    ], ids=["A", "B"])
+    def test_jobs_invariance(self, tmp_path, clear_memos, setup, base):
+        # --jobs is accepted and ignored, so it moves no byte; each run starts
+        # from empty memos, and kind B reads S1 from the tables its fit left
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        for argv in setup:
+            assert run_cli(argv + cache, tmp_path, "setup.csv")[0] == 0
         outs = []
         for jobs in ("1", "2"):
             clear_memos()
-            code, out, _ = run_cli(base + ["--jobs", jobs], tmp_path, f"j{jobs}.csv")
+            code, out, _ = run_cli(base + cache + ["--jobs", jobs], tmp_path, f"j{jobs}.csv")
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_functional_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, _, _ = run_cli(["functional", "--kind", "A", "--x", "1", "--sigma", "1",
+                              "--tau", "29.6,59.2,118.4", "--jobs", "2"], tmp_path)
+        assert code == 0
 
     def test_ladder_rerun_identical(self, tmp_path):
         _, out1, _ = run_cli(["ladder", "--T", "1000", "--k", "2"], tmp_path, "l1.csv")

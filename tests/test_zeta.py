@@ -255,7 +255,8 @@ class TestLineKernel:
 
     @staticmethod
     def _csv_at_jobs_1_and_2(args, tmp_path, monkeypatch, clear_memos):
-        # each run starts from empty window memos and an empty prime plan
+        # --jobs is accepted and ignored, so both are one-thread runs, each
+        # from empty window memos and an empty prime plan
         outs = []
         for jobs in ("1", "2"):
             clear_memos()

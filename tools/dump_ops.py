@@ -42,9 +42,11 @@ from typing import List
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # Every command and every verify suite at small heights (about 1 s in all),
-# kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2,
-# and ops that exit 2, 3 and 4.  The sums include a window with Z below the
-# Riemann-Siegel crossover and one overlapping a window summed before it.
+# kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2
+# (a flag every command accepts and ignores; these ops check that it still
+# parses and moves no byte), and ops that exit 2, 3 and 4.  The sums include
+# a window with Z below the Riemann-Siegel crossover and one overlapping a
+# window summed before it.
 # The S1 ops grow one zero scan through four ceilings (about 321, 1035, 1127
 # and 2055), and the second c-bar fit reads tables built for a higher one.
 CLI_OPS: List[List[str]] = [
