@@ -44,9 +44,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # Every command and every verify suite at small heights (about 1 s in all),
 # kind B after the `cbar` whose key it reads, z, s and functional at --jobs 2
 # (a flag every command accepts and ignores; these ops check that it still
-# parses and moves no byte), and ops that exit 2, 3 and 4.  The sums include
-# a window with Z below the Riemann-Siegel crossover and one overlapping a
-# window summed before it.
+# parses and moves no byte), and ops that exit 2, 3 and 4.  The sums and the
+# critical-line moments include windows with Z below the Riemann-Siegel
+# crossover, and one sum window overlaps a window summed before it.
 # The S1 ops grow one zero scan through four ceilings (about 321, 1035, 1127
 # and 2055), and the second c-bar fit reads tables built for a higher one.
 CLI_OPS: List[List[str]] = [
@@ -57,6 +57,7 @@ CLI_OPS: List[List[str]] = [
     ["gram", "--from", "1000", "--to", "1010", "--out", "gram.csv"],
     ["moments", "--kind", "critical2", "--from", "1000", "--to", "1010"],
     ["moments", "--kind", "critical2", "--from", "1000", "--to", "1000"],
+    ["moments", "--kind", "critical2", "--from", "10", "--to", "49"],
     ["moments", "--kind", "sigma2", "--sigma", "1", "--from", "1000", "--to", "1010"],
     ["moments", "--kind", "s1moment", "--l", "1", "--from", "290", "--to", "310"],
     ["moments", "--kind", "s1moment", "--l", "1", "--from", "1000", "--to", "1010"],
@@ -67,6 +68,8 @@ CLI_OPS: List[List[str]] = [
     ["ladder", "--T", "1000", "--k", "3", "--out", "ladder.csv"],
     ["ladder", "--T", "50"],
     ["sum", "--kind", "pair", "--from", "10", "--to", "100"],
+    ["sum", "--kind", "fourth", "--from", "10", "--to", "30"],
+    ["sum", "--kind", "pair", "--from", "20", "--to", "45"],
     ["sum", "--kind", "pair", "--from", "1000", "--to", "2000"],
     ["sum", "--kind", "fourth", "--from", "1000", "--to", "2000"],
     ["sum", "--kind", "fourth", "--from", "999.99", "--to", "1999.98"],
