@@ -24,15 +24,7 @@ import numpy as np
 
 from .config import AmbiguousBranchError, DomainError, TrackingError
 from .quad import panel_sums
-from .zeta import (
-    _BLOCK,
-    MAX_HEIGHT,
-    RS_CROSSOVER,
-    TWO_PI,
-    _zeta_point,
-    hardy_z_many,
-    theta,
-)
+from .zeta import _BLOCK, MAX_HEIGHT, TWO_PI, _zeta_point, hardy_z_many, theta
 
 
 @dataclass(frozen=True)
@@ -127,11 +119,11 @@ class ZeroCache:
     at least g below lo or above hi takes that side without a Z call,
     the others are evaluated.  So the zeros are the bisection's bit for
     bit, provided the computed sign of Z is the true one more than g/2
-    from a simple root.  Below RS_CROSSOVER, where Z depends on the block
-    it is evaluated in, g is infinite and the bisection is plain.
-    The final count is cross-checked against the branch-tracking count
-    N(t); a mismatch raises rather than self-corrects, keeping the two
-    channels independent.
+    from a simple root.  Z depends only on its own t, so the path does
+    not depend on which brackets are walked together.  The final count
+    is cross-checked against the branch-tracking count N(t); a mismatch
+    raises rather than self-corrects, keeping the two channels
+    independent.
 
     The grid is cut into blocks [a, 1.3 a + 5), and the scan up to a
     ceiling truncates the last one.  A higher ceiling grows the scan
@@ -142,14 +134,13 @@ class ZeroCache:
     zeros below the split, the grid point two cells below the truncated
     block, are kept; Z is evaluated from two grid points below the split,
     the neighbours every bracket ending above it needs, and only the
-    zeros above it are located and added.  Z above RS_CROSSOVER depends
-    only on its own t, so the grown zeros are bit-identical to a fresh
-    scan.  When the block two below the truncated one starts below
-    RS_CROSSOVER, where Z depends on its block, the scan is redone.
-    ensure(t) scans to the target 1.02 t + 5 and grows whenever that
-    target rises, since the truncated block's points follow it.  So for
-    any call history, the zeros held after ensure(t) equal those of a
-    fresh ensure(u), u the highest ceiling asked for so far.
+    zeros above it are located and added.  Z depends only on its own t,
+    so the grown zeros are bit-identical to a fresh scan, and only the
+    first scan starts from FIRST_ZERO_FLOOR.  ensure(t) scans to the
+    target 1.02 t + 5 and grows whenever that target rises, since the
+    truncated block's points follow it.  So for any call history, the
+    zeros held after ensure(t) equal those of a fresh ensure(u), u the
+    highest ceiling asked for so far.
     """
 
     FIRST_ZERO_FLOOR = 10.0
@@ -189,7 +180,7 @@ class ZeroCache:
         starts = self._block_starts(t_hi)
         old = self._block_starts(self.t_max)
         k = len(old) - 3  # two blocks below the old, truncated last block
-        if k < 0 or old[k] < RS_CROSSOVER:
+        if k < 0:
             zeros = self._scan(starts, t_hi)
         else:
             # the grid point two cells below the old truncated block, whose
@@ -260,15 +251,16 @@ class ZeroCache:
     def _bisect(self, a: np.ndarray, b: np.ndarray, fa: np.ndarray,
                 fb: np.ndarray) -> np.ndarray:
         """Midpoints of the brackets [a, b] (fa = Z(a), fb = Z(b)) after
-        bisection.  Phase 1 takes Illinois steps, one batch per round, on
-        every inner bracket [lo, hi] still wider than 4 g.  Phase 2 walks
-        the bisection path: a midpoint g clear of [lo, hi] takes its side
-        without a Z call, the others are evaluated in one batch per round,
-        and the sign of Z(lo) decides.
+        bisection, g = GUARD_ULPS ulps of b for every bracket.  Phase 1
+        takes Illinois steps, one batch per round, on every inner bracket
+        [lo, hi] still wider than 4 g.  Phase 2 walks the bisection path:
+        a midpoint g clear of [lo, hi] takes its side without a Z call,
+        the others are evaluated in one batch per round, and the sign of
+        Z(lo) decides.
         """
         a, b = a.copy(), b.copy()
         lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
-        g = np.where(a < RS_CROSSOVER, np.inf, self.GUARD_ULPS * np.spacing(b))
+        g = self.GUARD_ULPS * np.spacing(b)
         moved = np.zeros(len(a), dtype=np.int8)  # inner end moved last: -1 lo, 1 hi
         live = np.nonzero(hi - lo > 4.0 * g)[0]
         while len(live):

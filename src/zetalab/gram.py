@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from .config import ABS_TOL, DomainError, RootError
-from .zeta import MAX_HEIGHT, RS_CROSSOVER, TWO_PI, hardy_z_many, theta, theta_deriv
+from .zeta import MAX_HEIGHT, TWO_PI, hardy_z_many, theta, theta_deriv
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,8 @@ def _solved_block(b: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _z_block(b: int) -> np.ndarray:
-    """Z at table block b's points at or above RS_CROSSOVER, where each
-    value depends only on its own t; nan below it."""
-    ts = _solved_block(b)[0]
-    rs = ts >= RS_CROSSOVER
-    z = np.full_like(ts, np.nan)
-    z[rs] = hardy_z_many(ts[rs])
+    """Z at table block b's points; each value depends only on its own t."""
+    z = hardy_z_many(_solved_block(b)[0])
     z.flags.writeable = False
     return z
 
@@ -126,18 +122,9 @@ def _gram_table(nu_lo: int, nu_hi: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _gram_z(nu_lo: int, nu_hi: int) -> np.ndarray:
-    """Z(t_nu) for nu = nu_lo..nu_hi, whose points `_gram_table` has gated.
-
-    At or above RS_CROSSOVER Z comes from the table.  Below it Z comes
-    from Euler-Maclaurin blocks, which depend on the block's largest t,
-    so those points are evaluated together, and on them alone.
-    """
-    ts = _read(_solved_block, nu_lo, nu_hi)[0]
-    z = _read(_z_block, nu_lo, nu_hi)
-    em = ts < RS_CROSSOVER
-    if em.any():
-        z[em] = hardy_z_many(ts[em])
-    return z
+    """Z(t_nu) for nu = nu_lo..nu_hi, whose points `_gram_table` has gated,
+    read from the table."""
+    return _read(_z_block, nu_lo, nu_hi)
 
 
 def gram_point(nu: int) -> GramPoint:

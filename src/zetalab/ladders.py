@@ -38,8 +38,8 @@ def _bracket(T: float, target: float) -> Tuple[float, float, float, float]:
 
     hi starts 2.2 predicted gaps above T and grows by 1.6 until the
     integral reaches target.  Z is evaluated one block of nodes at a time,
-    only up to the crossing panel; Z above the crossover depends only on
-    its own t, so the running sums are a prefix of those over all nodes.
+    only up to the crossing panel; Z depends only on its own t, so the
+    running sums are a prefix of those over all nodes.
     base_err is the fsum over the panels of [T, a] of |GL8 - I6|, I6 the
     interpolatory rule on a panel's six inner nodes (`quad._gl_inner_gap`),
     from the same samples: the estimate of a degree-5 rule, so a

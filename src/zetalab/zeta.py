@@ -41,9 +41,11 @@ depends on its thread count).  The main sum is thus taken at the exact
 node mid + half x_j, not at its double rounding.
 
 Vectorized kernels are deterministic functions of their input array
-(values and shape).  Euler-Maclaurin blocks depend on their largest t,
-which sets the cutoff and where the Bernoulli tail stops; Riemann-Siegel
-values do not depend on the block at all.  Every operation in this
+(values and shape).  Euler-Maclaurin blocks on a sigma-line depend on
+their largest t, which sets the cutoff and where the Bernoulli tail
+stops.  Z does not depend on the block at any height: above the
+crossover by the padded RS widths, below it by a sentinel point at the
+crossover (`_hardy_z_em_block`).  Every operation in this
 package assembles those arrays from its own parameters alone, so op
 results are bit-reproducible across runs and do not depend on which
 thread runs an operation.
@@ -254,16 +256,26 @@ def _hardy_z_rs_block(ts: np.ndarray) -> np.ndarray:
 
 
 def _hardy_z_em_block(ts: np.ndarray) -> np.ndarray:
-    """Z below the crossover: real part of e^{i theta} zeta_EM(1/2+it)."""
-    vals = _zeta_em_block(np.full_like(ts, 0.5), ts)
-    th = theta(ts)
-    return np.real(np.exp(1j * th) * vals)
+    """Z below the crossover: real part of e^{i theta} zeta_EM(1/2+it).
+
+    The block is evaluated with one more height, RS_CROSSOVER, whose value
+    is dropped.  That sentinel sets the cutoff, em_cutoff(RS_CROSSOVER),
+    at least every point's own; its Bernoulli terms are the block's
+    largest at every k (|s(s+1)...(s+2k-2)| grows with t, |N^{-s}| does
+    not), so it alone decides where the tail stops; and it is the last
+    column, so no real point is alone in a pass of `_em_rows`, whose
+    single-column sums take another order.  So each value depends only on
+    its own t.
+    """
+    vals = _zeta_em_block(np.full(len(ts) + 1, 0.5), np.append(ts, RS_CROSSOVER))[:-1]
+    return np.real(np.exp(1j * theta(ts)) * vals)
 
 
 def hardy_z_many(t) -> np.ndarray:
-    """Vectorized Z(t); fixed blocking, t in any order.  The unchecked
-    kernel: no MAX_HEIGHT ceiling and no accuracy gate, since a ladder step
-    from 1e6 evaluates Z up to T^1 ~ 1.03e6; `hardy_z` is the checked entry."""
+    """Vectorized Z(t), t in any order; each value depends only on its own
+    t.  The unchecked kernel: no MAX_HEIGHT ceiling and no accuracy gate,
+    since a ladder step from 1e6 evaluates Z up to T^1 ~ 1.03e6; `hardy_z`
+    is the checked entry."""
     ts = _as_height_array(np.atleast_1d(np.asarray(t, dtype=float)))
     out = np.empty_like(ts)
     lo = ts < RS_CROSSOVER

@@ -81,6 +81,22 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("kind, orders", [
+        ("A", ("4,8,6", "6,4,8")),
+        ("C", ("10,20,15", "15,10,20")),
+    ])
+    def test_tau_order_invariance(self, tmp_path, clear_memos, kind, orders):
+        # each tau's row has the same bytes whichever tau ran before it
+        rows = []
+        for k, taus in enumerate(orders):
+            clear_memos()
+            code, out, _ = run_cli(["functional", "--kind", kind, "--x", "1", "--sigma", "1",
+                                    "--tau", taus], tmp_path, f"order{k}.csv")
+            assert code == 0
+            lines = out.read_text().splitlines()[1:]
+            rows.append(dict(zip(taus.split(","), lines)))
+        assert len(rows[0]) == 3 and rows[0] == rows[1]
+
     def test_functional_starts_no_thread(self, tmp_path, monkeypatch):
         def refuse(thread):
             raise RuntimeError(f"thread {thread.name} started")

@@ -24,7 +24,7 @@ from zetalab import (
 from zetalab import gram, verify
 from zetalab.cli import main
 from zetalab.sums import FOURTH_MAIN_CONSTANT, PAIR_MAIN_CONSTANT
-from zetalab.zeta import MAX_HEIGHT, RS_CROSSOVER
+from zetalab.zeta import MAX_HEIGHT
 
 WORKLOADS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "perfbench", "workloads.py")
@@ -157,14 +157,15 @@ class TestSharedWindow:
 
     @given(st.lists(st.one_of(
         st.tuples(st.floats(2.0 * math.pi, 3e3, exclude_min=True),
-                  st.floats(RS_CROSSOVER, 3e3)).filter(lambda w: w[0] < w[1]),
-        st.sampled_from([(7.0, 300.0), (30.0, 120.0), (MAX_HEIGHT - 3.0, MAX_HEIGHT)])),
+                  st.floats(2.0 * math.pi, 3e3)).filter(lambda w: w[0] < w[1]),
+        st.sampled_from([(7.0, 300.0), (30.0, 120.0), (MAX_HEIGHT - 3.0, MAX_HEIGHT),
+                         (10.0, 30.0), (20.0, 45.0), (7.0, 48.0), (24.0, 48.0)])),
         min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_table_matches_separate_solves_in_any_order(self, windows):
         # windows overlap and repeat in any order, read through one cold
-        # table; each ends at or above RS_CROSSOVER, where the reference's
-        # Euler-Maclaurin block is the sums' block (see the next test)
+        # table, at any height: Z depends only on its own t, below the
+        # Riemann-Siegel crossover as above it
         gram._solved_block.cache_clear()
         gram._z_block.cache_clear()
         read = [(titchmarsh_sum(*w), fourth_power_sum(*w)) for w in windows]
@@ -175,22 +176,6 @@ class TestSharedWindow:
             terms, pair_ref, fourth_ref = self._separate_solves(lo, hi)
             assert pair.terms == fourth.terms == terms
             assert (pair.value, fourth.value) == (pair_ref, fourth_ref)
-
-    @pytest.mark.parametrize("window", [(10.0, 30.0), (20.0, 45.0), (7.0, 48.0), (24.0, 48.0)])
-    def test_z_below_the_crossover_is_evaluated_on_the_window(self, clear_memos, window):
-        # below RS_CROSSOVER Z comes from one Euler-Maclaurin block whose
-        # cutoff and tail follow its points: the window's points for the
-        # fourth-power sum, and the one past it too for the pair sum,
-        # whatever block 0 of the table holds
-        clear_memos()
-        titchmarsh_sum(7.0, 300.0)
-        pts = gram_range(*window)
-        ts = np.array([p.t for p in gram_points(pts[0].nu, pts[-1].nu + 1)])
-        assert ts[-1] < RS_CROSSOVER
-        fourth = math.fsum((hardy_z_many(ts[:-1]) ** 4).tolist())
-        assert fourth_power_sum(*window).value == fourth
-        z2 = hardy_z_many(ts) ** 2
-        assert titchmarsh_sum(*window).value == math.fsum((z2[:-1] * z2[1:]).tolist())
 
     def test_threads_filling_the_table_agree_with_one_thread(self, clear_memos):
         # six workers on two cores race for the same cold blocks; a block

@@ -26,6 +26,7 @@ from zetalab import (
 )
 from zetalab.cli import main
 from zetalab.zeta import (
+    RS_CROSSOVER,
     _em_main_sum,
     _rs_correction,
     _zeta_em_block,
@@ -431,12 +432,30 @@ class TestHardyZ:
         ),
         low=st.lists(st.floats(min_value=50.0, max_value=200.0), min_size=1, max_size=4),
         high=st.floats(min_value=1e7, max_value=1e8, exclude_max=True),
+        # Euler-Maclaurin heights, the ends of their range included
+        below=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=RS_CROSSOVER, exclude_max=True),
+                st.sampled_from([0.0, float(np.nextafter(RS_CROSSOVER, 0.0))]),
+            ),
+            min_size=1, max_size=8,
+        ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_value_depends_only_on_its_own_t(self, ts, low, high):
-        block = np.array(low + ts + [high])
+    def test_value_depends_only_on_its_own_t(self, ts, low, high, below):
+        block = np.array(below + low + ts + [high])
         whole = hardy_z_many(block)
         alone = np.array([hardy_z_many(np.array([t]))[0] for t in block])
+        assert np.array_equal(whole, alone)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 4097])
+    def test_value_below_the_crossover_depends_only_on_its_own_t(self, n):
+        # blocks that end at and just past a 64-point Euler-Maclaurin pass
+        # and a _BLOCK of heights
+        ts = np.random.default_rng(n).uniform(0.0, RS_CROSSOVER, n)
+        ts[:2] = 0.0, np.nextafter(RS_CROSSOVER, 0.0)
+        whole = hardy_z_many(ts)
+        alone = np.array([hardy_z_many(np.array([t]))[0] for t in ts])
         assert np.array_equal(whole, alone)
 
     def test_memory_is_bounded_near_1e8(self):
